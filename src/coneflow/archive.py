@@ -25,13 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .background import FlowParams, build_pack
-from .config import RunConfig, emit_config, parse_config, resolve_flow_params
+from .config import Lab, RunConfig, build_lab, emit_config, parse_config
 from .errors import ArchiveError
 from .flow import (FlowState, Scheme, StepControl, Termination, Trajectory,
                    SERIES_COLUMNS)
-from .initial_data import make_initial
-from .surfaces import ScalarField, build_surface, divisor_section
+from .surfaces import ScalarField
 
 MAGIC = b"CKRF1"
 VERSION = 1
@@ -198,7 +196,7 @@ def load_run(path, pack) -> Trajectory:
 # whole archives
 
 
-def save_pack_descriptor(directory, config: RunConfig, params_list) -> str:
+def save_pack_descriptor(directory, config: RunConfig, k: float) -> str:
     frames = [
         ("surface_kind", config.surface_kind.value),
         ("resolution", config.resolution),
@@ -206,10 +204,10 @@ def save_pack_descriptor(directory, config: RunConfig, params_list) -> str:
         ("divisor_points", np.asarray(config.divisor_points, dtype=float
                                       ).reshape(-1, 2)),
         ("gamma", config.gamma),
-        ("k", float(params_list[0].k)),
+        ("k", float(k)),
         ("T", config.T),
         ("eta_degree", config.eta_degree),
-        ("eps_list", np.asarray([p.epsilon for p in params_list])),
+        ("eps_list", np.asarray(config.eps_list, dtype=float)),
         ("sigma", config.sigma),
     ]
     write_frames(Path(directory) / "pack.ckrf", frames)
@@ -266,19 +264,18 @@ class Archive:
     directory: Path
     config: RunConfig
     manifest: dict
-    packs: dict          # eps -> BackgroundPack
+    lab: Lab             # the inputs of the runs, rebuilt from the config
     trajectories: dict   # run_id -> Trajectory
-    datum: object
 
 
-def write_archive(directory, config: RunConfig, trajectories,
+def write_archive(directory, config: RunConfig, k: float, trajectories,
                   run_errors: dict | None = None, complete: bool = True) -> Path:
-    """Persist a family of runs; returns the archive directory."""
+    """Persist a family of runs built with cone coefficient ``k``; returns
+    the archive directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "config.txt").write_text(emit_config(config))
-    params_list = resolve_flow_params(config)
-    save_pack_descriptor(directory, config, params_list)
+    save_pack_descriptor(directory, config, k)
     status = {}
     for traj in trajectories:
         name = save_run(directory, traj)
@@ -298,19 +295,9 @@ def load_archive(directory) -> Archive:
             f"archive {directory} failed integrity check: " + "; ".join(problems))
     manifest = json.loads((directory / "manifest.json").read_text())
     config = parse_config((directory / "config.txt").read_text())
-
-    desc = read_frames(directory / "pack.ckrf")
-    surface = build_surface(config.surface_kind, config.resolution, config.volume)
-    divisor = (divisor_section(surface, [tuple(p) for p in desc["divisor_points"]])
-               if len(desc["divisor_points"]) else None)
-    packs = {}
-    for eps in desc["eps_list"]:
-        params = FlowParams(gamma=float(desc["gamma"]), epsilon=float(eps),
-                            k=float(desc["k"]), T=float(desc["T"]),
-                            eta_degree=float(desc["eta_degree"]))
-        packs[float(eps)] = build_pack(surface, divisor, params)
-    datum = make_initial(surface, divisor, config.initial_kind,
-                         dict(config.initial_params))
+    # the stored k, so that an automatic k is not selected again
+    k = float(read_frames(directory / "pack.ckrf")["k"])
+    lab = build_lab(dataclasses.replace(config, k=k))
 
     trajectories = {}
     for run_id, info in manifest["runs"].items():
@@ -318,19 +305,13 @@ def load_archive(directory) -> Archive:
             continue
         path = directory / info["file"]
         eps = float(read_frames(path)["eps"])
-        trajectories[run_id] = load_run(path, packs[eps])
+        trajectories[run_id] = load_run(path, lab.packs[eps])
     return Archive(directory=directory, config=config, manifest=manifest,
-                   packs=packs, trajectories=trajectories, datum=datum)
+                   lab=lab, trajectories=trajectories)
 
 
 # ---------------------------------------------------------------------------
 # CSV export
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
 
 
 def series_csv(traj: Trajectory) -> str:
@@ -344,7 +325,7 @@ def series_csv(traj: Trajectory) -> str:
         sel.append(int(idx[0]))
     lines = [",".join(SERIES_COLUMNS)]
     for i in sel:
-        lines.append(",".join(_csv_cell(traj.series[col][i])
+        lines.append(",".join(repr(float(traj.series[col][i]))
                               for col in SERIES_COLUMNS))
     return "\n".join(lines) + "\n"
 
@@ -355,12 +336,8 @@ def snapshot_csv(traj: Trajectory, t: float) -> str:
     a0, a1 = traj.pack.surface.meshgrid()
     excl = (traj.scan_exclude if traj.scan_exclude is not None
             else np.zeros(traj.pack.surface.shape, dtype=bool))
-    lines = ["axis0,axis1,phi,phi_dot,excluded"]
-    for i in range(a0.shape[0]):
-        for jj in range(a0.shape[1]):
-            lines.append(",".join((
-                _csv_cell(a0[i, jj]), _csv_cell(a1[i, jj]),
-                _csv_cell(state.phi.values[i, jj]),
-                _csv_cell(state.phi_dot.values[i, jj]),
-                "1" if excl[i, jj] else "0")))
-    return "\n".join(lines) + "\n"
+    cells = [map(repr, col.ravel().tolist())
+             for col in (a0, a1, state.phi.values, state.phi_dot.values)]
+    flags = ("1" if e else "0" for e in excl.ravel().tolist())
+    rows = map(",".join, zip(*cells, flags))
+    return "\n".join(["axis0,axis1,phi,phi_dot,excluded", *rows]) + "\n"

@@ -25,23 +25,14 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
-from . import estimates as est
 from .archive import load_archive, series_csv, snapshot_csv, write_archive
-from .background import build_pack
-from .config import (ESTIMATE_IDS, RunConfig, emit_config, parse_config,
-                     resolve_flow_params)
+from .config import Lab, RunConfig, build_lab, emit_config, parse_config
 from .errors import ConeflowError, ConfigurationError
+from .estimates import ESTIMATES
 from .flow import run_flow
-from .initial_data import flow_level_values, make_initial
-from .surfaces import build_surface, divisor_section
-
-#: checks applied when no selection is given; family checks that lack their
-#: run family are skipped silently in this mode only
-_DEFAULT_BATTERY = ("upper_barrier", "lower_barrier", "hstat",
-                    "density_ratio", "comparison", "monotone_eps", "osc")
+from .initial_data import flow_level_values
 
 
 def _resolve_dir(cli_out, config_out=None) -> Path:
@@ -60,32 +51,18 @@ def _resolve_dir(cli_out, config_out=None) -> Path:
 # run orchestration
 
 
-def build_lab(config: RunConfig):
-    """Construct the shared immutable inputs of one experiment family."""
-    surface = build_surface(config.surface_kind, config.resolution,
-                            config.volume)
-    divisor = (divisor_section(surface, config.divisor_points)
-               if config.divisor_points else None)
-    datum = make_initial(surface, divisor, config.initial_kind,
-                         dict(config.initial_params))
-    params_list = resolve_flow_params(config)
-    packs = {p.epsilon: build_pack(surface, divisor, p) for p in params_list}
-    return surface, divisor, datum, packs
-
-
-def execute_runs(config: RunConfig, jobs: int = 1):
+def execute_runs(config: RunConfig, lab: Lab, jobs: int = 1):
     """All (eps, j) trajectories of a config; per-run failures collected."""
-    _surface, _divisor, datum, packs = build_lab(config)
-    scan = (datum.psh_exclusion if datum.psh_exclusion is not None
-            else datum.phi0.singular_mask)
+    scan = (lab.datum.psh_exclusion if lab.datum.psh_exclusion is not None
+            else lab.datum.phi0.singular_mask)
     j_list = config.j_list or [None]
     plan = [(f"e{eps:g}" + (f"_j{j:g}" if j is not None else ""), eps, j)
             for eps in config.eps_list for j in j_list]
 
     def one(item):
         run_id, eps, j = item
-        phi = flow_level_values(datum, eps, j, config.sigma)
-        return run_flow(packs[eps], j if j is not None else 0.0, phi,
+        phi = flow_level_values(lab.datum, eps, j, config.sigma)
+        return run_flow(lab.packs[eps], j if j is not None else 0.0, phi,
                         config.control, config.checkpoints, run_id=run_id,
                         scan_exclude=scan)
 
@@ -103,8 +80,9 @@ def execute_runs(config: RunConfig, jobs: int = 1):
 def cmd_run(args) -> int:
     config = parse_config(Path(args.config).read_text())
     out = _resolve_dir(args.out, config.out_dir)
-    results, errors = execute_runs(config, jobs=args.jobs)
-    write_archive(out, config, results, run_errors=errors, complete=True)
+    lab = build_lab(config)
+    results, errors = execute_runs(config, lab, jobs=args.jobs)
+    write_archive(out, config, lab.k, results, run_errors=errors)
     print(f"archived {len(results)} runs to {out}")
     for run_id, error in errors.items():
         print(f"run {run_id} failed: {error}", file=sys.stderr)
@@ -127,160 +105,35 @@ def cmd_tmax(args) -> int:
 # verification
 
 
-@dataclass
-class VerifyLine:
-    estimate_id: str
-    line: str
-    passed: bool
-    detail: str
+def _detail(report) -> str:
+    return (f"{report.estimate_id} runs={','.join(report.run_ids)}\n"
+            f"  parameters: {report.parameters}\n"
+            f"  margin: {report.margin!r}\n"
+            f"  witness: {report.witness}\n"
+            f"  tolerance: {report.tolerance!r}\n")
 
 
-def _scaled(report, scale: float):
-    if scale != 1.0:
-        report.tolerance = report.tolerance * scale
-    return report
-
-
-def _report_line(est_id, report) -> VerifyLine:
-    detail = (f"{report.estimate_id} runs={','.join(report.run_ids)}\n"
-              f"  parameters: {report.parameters}\n"
-              f"  margin: {report.margin!r}\n"
-              f"  witness: {report.witness}\n"
-              f"  tolerance: {report.tolerance!r}\n")
-    return VerifyLine(est_id, report.summary(), report.passed, detail)
-
-
-def _comparison_line(verdict) -> VerifyLine:
-    status = "PASS" if verdict.passed else "FAIL"
-    line = (f"{status} comparison: drift={verdict.drift:.3e} "
-            f"(tol={verdict.tolerance:.1e}, runs={','.join(verdict.run_ids)})")
-    detail = (f"comparison runs={','.join(verdict.run_ids)}\n"
-              f"  initial sup gap: {verdict.initial_sup_gap!r}\n"
-              f"  drift: {verdict.drift!r}\n"
-              f"  tolerance: {verdict.tolerance!r}\n")
-    return VerifyLine("comparison", line, verdict.passed, detail)
-
-
-def _group_by_eps(trajs):
-    grouped = {}
-    for traj in trajs:
-        grouped.setdefault(traj.pack.params.epsilon, []).append(traj)
-    for eps in grouped:
-        grouped[eps].sort(key=lambda tr: tr.j)
-    return grouped
-
-
-def _group_by_j(trajs):
-    grouped = {}
-    for traj in trajs:
-        grouped.setdefault(traj.j, []).append(traj)
-    for j in grouped:
-        grouped[j].sort(key=lambda tr: -tr.pack.params.epsilon)
-    return grouped
-
-
-def _check_one(arc, est_id, params, scale, strict) -> list:
-    """All VerifyLines for one estimate selection.
+def run_verification(arc, selection, scale: float = 1.0,
+                     strict: bool = True) -> list:
+    """EstimateReports of each (estimate id, params) selection, in order.
 
     ``strict`` raises when the needed run family is absent; the default
     battery passes strict=False and skips instead.
     """
     runs = sorted(arc.trajectories.values(), key=lambda tr: tr.run_id)
-    if not runs:
+    if selection and not runs:
         raise ConfigurationError("archive holds no successful runs")
-    lines = []
-
-    def missing(requirement):
-        if strict:
-            raise ConfigurationError(f"{est_id} needs {requirement}")
-        return []
-
-    if est_id in ("upper_barrier", "lower_barrier", "hstat", "density_ratio",
-                  "phidot_lower", "lower_envelope", "l1_convergence"):
-        for traj in runs:
-            cps = traj.checkpoint_times
-            if est_id == "upper_barrier":
-                rep = est.check_upper_barrier(traj, params.get("t0", cps[0]))
-            elif est_id == "lower_barrier":
-                rep = est.check_lower_barrier(traj, params.get("t0", cps[0]))
-            elif est_id == "hstat":
-                rep = est.check_hstat(traj, params.get("t0"))
-            elif est_id == "density_ratio":
-                default_t0 = next((t for t in cps if t >= 0.1), cps[0])
-                rep = est.check_density_ratio(traj, params.get("t0", default_t0))
-            elif est_id == "phidot_lower":
-                if "t0" not in params or "tprime" not in params:
-                    raise ConfigurationError(
-                        "phidot_lower requires t0=<checkpoint> and "
-                        "tprime=<time> parameters")
-                rep = est.check_phidot_lower(traj, params["t0"], params["tprime"])
-            elif est_id == "lower_envelope":
-                rep = est.check_lower_envelope(traj, params.get("l", 2.0))
-            else:
-                rep = est.check_l1_convergence(traj, arc.datum.phi0,
-                                               t_top=params.get("t_top", 0.2))
-            lines.append(_report_line(est_id, _scaled(rep, scale)))
-        return lines
-
-    if est_id in ("comparison", "reparam_ordering"):
-        pairs = []
-        for eps, fam in sorted(_group_by_eps(runs).items()):
-            deep_first = sorted(fam, key=lambda tr: -tr.j)
-            pairs += list(zip(deep_first, deep_first[1:]))
-        if not pairs:
-            return missing("two truncation levels at a shared eps")
-        for deep, shallow in pairs:
-            if est_id == "comparison":
-                lines.append(_comparison_line(
-                    _scaled(est.check_comparison(deep, shallow), scale)))
-            else:
-                rep = est.check_reparam_ordering(deep, shallow,
-                                                 params.get("c_tilde", 0.9))
-                lines.append(_report_line(est_id, _scaled(rep, scale)))
-        return lines
-
-    if est_id == "monotone_eps":
-        for j, fam in sorted(_group_by_j(runs).items()):
-            if len(fam) < 2:
-                continue
-            cps = fam[0].checkpoint_times
-            default_t = next((t for t in cps if t >= 0.1), cps[len(cps) // 2])
-            rep = est.check_monotone_eps(fam, params.get("t", default_t))
-            lines.append(_report_line(est_id, _scaled(rep, scale)))
-        return lines or missing("one truncation level at two or more eps")
-
-    if est_id == "osc":
-        for eps, fam in sorted(_group_by_eps(runs).items()):
-            if len(fam) < 3:
-                continue
-            rep = est.check_osc(fam)
-            lines.append(_report_line(est_id, _scaled(rep, scale)))
-        return lines or missing("three or more truncation levels at one eps")
-
-    if est_id == "signature":
-        by_j = {j: fam for j, fam in _group_by_j(runs).items() if len(fam) >= 2}
-        if not by_j:
-            return missing("one truncation level at two or more eps")
-        j_star = max(by_j, key=lambda j: (len(by_j[j]), j))
-        sig = est.divergence_signature(by_j[j_star])
-        expect_diverging = bool(params.get("expect", 0.0))
-        passed = sig["diverging"] == expect_diverging
-        status = "PASS" if passed else "FAIL"
-        expected = "diverging" if expect_diverging else "stable"
-        line = (f"{status} signature: diverging={sig['diverging']} "
-                f"(expected {expected}, constants="
-                f"{['%.3g' % c for c in sig['ratio_constants']]})")
-        detail = f"signature at j={j_star:g}\n  {sig}\n"
-        return [VerifyLine("signature", line, passed, detail)]
-
-    raise ConfigurationError(f"unknown estimate id {est_id!r}")
-
-
-def run_verification(arc, selection, scale: float = 1.0, strict: bool = True):
-    lines = []
+    reports = []
     for est_id, params in selection:
-        lines.extend(_check_one(arc, est_id, dict(params), scale, strict))
-    return lines
+        entry = ESTIMATES[est_id]
+        families = entry.family.split(runs)
+        if strict and not families:
+            raise ConfigurationError(f"{est_id} needs {entry.family.needs}")
+        for family in families:
+            report = entry.check(family, dict(params), arc.lab.datum)
+            report.tolerance *= scale
+            reports.append(report)
+    return reports
 
 
 def cmd_verify(args) -> int:
@@ -289,29 +142,31 @@ def cmd_verify(args) -> int:
     strict = True
     if args.only:
         wanted = [name.strip() for name in args.only.split(",") if name.strip()]
-        unknown = [name for name in wanted if name not in ESTIMATE_IDS]
+        unknown = [name for name in wanted if name not in ESTIMATES]
         if unknown:
             raise ConfigurationError(f"unknown estimate ids in --only: {unknown}")
         configured = {eid: ps for eid, ps in selection}
         selection = [(name, configured.get(name, {})) for name in wanted]
     elif not selection:
-        selection = [(eid, {}) for eid in _DEFAULT_BATTERY]
+        # family checks that lack their run family are skipped in this mode
+        selection = [(eid, {}) for eid, entry in ESTIMATES.items()
+                     if entry.default]
         strict = False
 
-    lines = run_verification(arc, selection, scale=args.tolerance_scale,
-                             strict=strict)
+    reports = run_verification(arc, selection, scale=args.tolerance_scale,
+                               strict=strict)
     report_dir = arc.directory / "reports"
     report_dir.mkdir(exist_ok=True)
-    for line in lines:
-        print(line.line)
+    for report in reports:
+        print(report.summary())
     (report_dir / "verify.txt").write_text(
-        "".join(line.line + "\n" for line in lines))
-    for est_id in sorted({line.estimate_id for line in lines}):
+        "".join(report.summary() + "\n" for report in reports))
+    for est_id in sorted({report.estimate_id for report in reports}):
         (report_dir / f"{est_id}.txt").write_text(
-            "".join(line.detail for line in lines
-                    if line.estimate_id == est_id))
-    failed = [line for line in lines if not line.passed]
-    print(f"{len(lines) - len(failed)}/{len(lines)} checks passed")
+            "".join(_detail(report) for report in reports
+                    if report.estimate_id == est_id))
+    failed = sum(not report.passed for report in reports)
+    print(f"{len(reports) - failed}/{len(reports)} checks passed")
     return 1 if failed else 0
 
 
@@ -364,9 +219,6 @@ times = 0.0015625, 0.003125, 0.00625, 0.0125, 0.025, 0.05, 0.1
 
 [verify]
 estimates = upper_barrier; lower_barrier; hstat; density_ratio(t0=0.0015625); l1_convergence(t_top=0.05)
-
-[output]
-seed = 0
 """
 
 
@@ -375,14 +227,15 @@ def cmd_selfcheck(_args) -> int:
     if parse_config(emit_config(config)) != config:
         print("selfcheck: config roundtrip mismatch", file=sys.stderr)
         return 3
+    lab = build_lab(config)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a", Path(tmp) / "b"
         for directory in (first, second):
-            results, errors = execute_runs(config)
+            results, errors = execute_runs(config, lab)
             if errors:
                 print(f"selfcheck: run failed: {errors}", file=sys.stderr)
                 return 3
-            write_archive(directory, config, results)
+            write_archive(directory, config, lab.k, results)
 
         import json
         manifests = [json.loads((d / "manifest.json").read_text())
@@ -392,16 +245,11 @@ def cmd_selfcheck(_args) -> int:
             return 3
 
         arc = load_archive(first)
-        lines = run_verification(arc, config.verify)
-        for line in lines:
-            print(line.line)
-        if any(not line.passed for line in lines):
+        reports = run_verification(arc, config.verify)
+        for report in reports:
+            print(report.summary())
+        if any(not report.passed for report in reports):
             return 1
-
-        traj = next(iter(arc.trajectories.values()))
-        if series_csv(traj) != series_csv(traj):
-            print("selfcheck: export not deterministic", file=sys.stderr)
-            return 3
     print("selfcheck ok")
     return 0
 

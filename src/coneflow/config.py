@@ -34,7 +34,6 @@ Format by example::
 
     [output]
     dir = out/sweep
-    seed = 0
 
 Comments run from ``#`` to end of line.  Scalar lists are comma separated;
 structured lists (divisor points, verify estimates) separate entries with
@@ -47,15 +46,18 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .background import (FlowParams, compute_tmax, path_constant,
+from .background import (FlowParams, build_pack, compute_tmax, path_constant,
                          resolvability_floor, select_k)
 from .errors import ConfigurationError
+from .estimates import ESTIMATES
 from .flow import Scheme, StepControl
-from .initial_data import DatumKind, make_initial
-from .surfaces import SurfaceKind, build_surface, divisor_section
+from .initial_data import DatumKind, InitialDatum, make_initial
+from .surfaces import (DivisorData, ModelSurface, SurfaceKind, build_surface,
+                       divisor_section)
 
 _SECTIONS = ("surface", "divisor", "flow", "initial", "stepper",
              "checkpoints", "verify", "output")
@@ -66,12 +68,6 @@ _DATUM_KINDS = {
     "zero_lelong": DatumKind.ZERO_LELONG_UNBOUNDED,
     "log_pole": DatumKind.LOG_POLE,
 }
-
-ESTIMATE_IDS = frozenset({
-    "upper_barrier", "lower_barrier", "hstat", "phidot_lower", "osc",
-    "density_ratio", "monotone_eps", "comparison", "reparam_ordering",
-    "lower_envelope", "l1_convergence", "signature",
-})
 
 _CALL_RE = re.compile(r"^([a-z0-9_]+)\s*(?:\((.*)\))?$")
 
@@ -97,7 +93,6 @@ class RunConfig:
     checkpoints: list
     verify: list             # (estimate_id, params) pairs
     out_dir: str | None = None
-    seed: int = 0
 
     @property
     def divisor_degree(self) -> int:
@@ -321,15 +316,12 @@ def parse_config(text: str) -> RunConfig:
     verify = v.get("estimates", _calls, default=[])
     v.reject_unknown()
     for est_id, _params in verify:
-        if est_id not in ESTIMATE_IDS:
+        if est_id not in ESTIMATES:
             _fail(v.lineno("estimates"), f"unknown estimate id {est_id!r}")
 
     o = sec["output"]
     out_dir = o.get("dir", str, default=None)
-    seed = o.get("seed", _int, default=0)
     o.reject_unknown()
-    if seed < 0:
-        _fail(o.lineno("seed"), "seed must be nonnegative")
 
     config = RunConfig(
         surface_kind=surface_kind, resolution=resolution, volume=volume,
@@ -337,7 +329,7 @@ def parse_config(text: str) -> RunConfig:
         T=T, eta_degree=eta_degree, initial_kind=initial_kind,
         initial_params=initial_params, j_list=j_list, sigma=sigma,
         control=control, checkpoints=checkpoints, verify=verify,
-        out_dir=out_dir, seed=seed)
+        out_dir=out_dir)
     _validate_geometry(config, sec, lines)
     return config
 
@@ -379,32 +371,56 @@ def _validate_geometry(config: RunConfig, sec, lines) -> None:
     except (ConfigurationError, ValueError) as exc:
         _fail(sec["initial"].lineno("kind"), str(exc))
 
+    # select_k runs in build_lab only; an automatic k is positive unless
+    # gamma = 1 with no divisor, so any positive stand-in validates alike
+    k = config.k
+    if k is None:
+        k = 0.0 if config.gamma == 1.0 and divisor is None else 1.0
     try:
-        params = resolve_flow_params(config)
+        for eps in config.eps_list:
+            FlowParams(gamma=config.gamma, epsilon=eps, k=k, T=config.T,
+                       eta_degree=config.eta_degree)
     except ConfigurationError as exc:
         _fail(sec["flow"].lineno(), str(exc))
     if config.initial_kind in (DatumKind.ZERO_LELONG_UNBOUNDED,
-                               DatumKind.LOG_POLE) and params[0].k == 0.0:
+                               DatumKind.LOG_POLE) and k == 0.0:
         _fail(sec["flow"].lineno("k"),
               "singular initial data needs a positive cone coefficient k")
 
 
-def resolve_flow_params(config: RunConfig) -> list:
-    """FlowParams per eps, with k selected automatically when requested."""
+class Lab(NamedTuple):
+    """The shared immutable inputs of one experiment family."""
+
+    surface: ModelSurface
+    divisor: DivisorData | None
+    datum: InitialDatum
+    k: float
+    packs: dict              # eps -> BackgroundPack
+
+
+def build_lab(config: RunConfig) -> Lab:
+    """Build the surface, divisor, datum, cone coefficient and packs.
+
+    ``k = auto`` runs ``select_k`` here, the only place it runs for a config.
+    """
+    surface = build_surface(config.surface_kind, config.resolution,
+                            config.volume)
+    divisor = (divisor_section(surface, config.divisor_points)
+               if config.divisor_points else None)
+    datum = make_initial(surface, divisor, config.initial_kind,
+                         dict(config.initial_params))
     k = config.k
     if k is None:
-        surface = build_surface(config.surface_kind, config.resolution,
-                                config.volume)
-        divisor = (divisor_section(surface, config.divisor_points)
-                   if config.divisor_points else None)
-        if config.gamma == 1.0 and divisor is None:
-            k = 0.0
-        else:
-            k = select_k(surface, divisor, config.gamma, config.eps_list,
-                         path_constant(config.volume, config.slope, config.T))
-    return [FlowParams(gamma=config.gamma, epsilon=eps, k=k, T=config.T,
-                       eta_degree=config.eta_degree)
-            for eps in config.eps_list]
+        k = (0.0 if config.gamma == 1.0 and divisor is None
+             else select_k(surface, divisor, config.gamma, config.eps_list,
+                           path_constant(config.volume, config.slope,
+                                         config.T)))
+    packs = {eps: build_pack(surface, divisor,
+                             FlowParams(gamma=config.gamma, epsilon=eps, k=k,
+                                        T=config.T,
+                                        eta_degree=config.eta_degree))
+             for eps in config.eps_list}
+    return Lab(surface, divisor, datum, k, packs)
 
 
 def _fmt(value) -> str:
@@ -460,5 +476,4 @@ def emit_config(config: RunConfig) -> str:
     ]
     if config.out_dir is not None:
         out.append(f"dir = {config.out_dir}")
-    out.append(f"seed = {config.seed}")
     return "\n".join(out) + "\n"

@@ -9,12 +9,15 @@ to exist are fitted at one sample and then verified globally ("fitted"
 mode).  Every report records which mode produced its constant.
 
 Checkers are pure functions of recorded trajectories; nothing here
-re-integrates the flow.
+re-integrates the flow.  ``ESTIMATES`` maps each estimate id to the shape of
+the run family it reads, its checker, and whether it is in the default
+battery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,27 +63,6 @@ class EstimateReport:
         status = "PASS" if self.passed else "FAIL"
         return (f"{status} {self.estimate_id}: margin={self.margin:.3e} "
                 f"(tol={self.tolerance:.1e}, runs={','.join(self.run_ids)})")
-
-
-@dataclass(eq=False)
-class ComparisonVerdict:
-    """sup_X(u(t) - v(t)) may never exceed its initial value (plus slack).
-
-    ``inf_gap_series`` is carried so that swapping the runs maps the verdict
-    onto its exact negation: sup(v-u) = -inf(u-v) nodewise.
-    """
-
-    run_ids: tuple
-    times: np.ndarray
-    sup_gap_series: np.ndarray
-    inf_gap_series: np.ndarray
-    initial_sup_gap: float
-    drift: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.drift <= self.tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +121,6 @@ def _same_grid(a: Trajectory, b: Trajectory) -> bool:
         abs(x - y) <= 1e-12 * max(1.0, abs(x)) for x, y in zip(ta, tb))
 
 
-def _sup_inf(values: np.ndarray, mask: np.ndarray) -> tuple:
-    sel = values[mask]
-    return float(sel.max()), float(sel.min())
-
-
 def _argmax_node(values: np.ndarray, mask: np.ndarray):
     masked = np.where(mask, values, -np.inf)
     return tuple(int(v) for v in np.unravel_index(int(np.argmax(masked)),
@@ -176,72 +153,58 @@ def barrier_slope_constant(pack: BackgroundPack, t0: float, t_end: float,
 # barriers
 
 
-def check_upper_barrier(traj: Trajectory, t0: float,
-                        tolerance: float = DEFAULT_TOLERANCE) -> EstimateReport:
-    """sup phi(t) <= sup phi(t0) + C (t - t0), with C computed from the pack."""
+def _check_barrier(traj: Trajectory, t0: float, sign: float,
+                   tolerance: float) -> EstimateReport:
+    """Upper (sign=+1) or lower (sign=-1) barrier, one body for both: the
+    sup of sign*(phi + k chi) rises from its value at t0 by at most
+    C (t - t0)."""
+    estimate_id = "upper_barrier" if sign > 0 else "lower_barrier"
     idx = _checkpoint_index(traj, t0)
     later = traj.snapshots[idx + 1:]
     if not later:
-        raise ConfigurationError("upper barrier needs a checkpoint after t0")
+        raise ConfigurationError(
+            f"{estimate_id.replace('_', ' ')} needs a checkpoint after t0")
     mask = scan_mask(traj)
     t_end = traj.snapshots[-1].t
-    C = barrier_slope_constant(traj.pack, t0, t_end, sign=1.0)
-    sup0, _ = _sup_inf(tc_potential_values(traj, traj.snapshots[idx]), mask)
+    C = barrier_slope_constant(traj.pack, t0, t_end, sign=sign)
+    sup0 = float((sign * tc_potential_values(traj, traj.snapshots[idx]))[mask]
+                 .max())
 
     margin = np.inf
     witness = None
     sups = []
     for s in later:
-        sup_t, _ = _sup_inf(tc_potential_values(traj, s), mask)
+        values = sign * tc_potential_values(traj, s)
+        sup_t = float(values[mask].max())
         sups.append(sup_t)
         gap = sup0 + C * (s.t - t0) - sup_t
         if gap < margin:
             margin = gap
-            witness = (s.t, _argmax_node(tc_potential_values(traj, s), mask))
+            witness = (s.t, _argmax_node(values, mask))
+    ext = "sup" if sign > 0 else "inf"
     return EstimateReport(
-        estimate_id="upper_barrier",
+        estimate_id=estimate_id,
         run_ids=(traj.run_id,),
         parameters={"t0": t0, "C": C, "constant_mode": "pack"},
         margin=float(margin),
         witness=witness,
         tolerance=tolerance,
-        aux={"sup_at_t0": sup0, "sup_series": sups,
+        aux={f"{ext}_at_t0": sign * sup0,
+             f"{ext}_series": [sign * v for v in sups],
              "times": [s.t for s in later]},
     )
+
+
+def check_upper_barrier(traj: Trajectory, t0: float,
+                        tolerance: float = DEFAULT_TOLERANCE) -> EstimateReport:
+    """sup phi(t) <= sup phi(t0) + C (t - t0), with C computed from the pack."""
+    return _check_barrier(traj, t0, 1.0, tolerance)
 
 
 def check_lower_barrier(traj: Trajectory, t0: float,
                         tolerance: float = DEFAULT_TOLERANCE) -> EstimateReport:
     """inf phi(t) >= inf phi(t0) - C (t - t0), mirror of the upper barrier."""
-    idx = _checkpoint_index(traj, t0)
-    later = traj.snapshots[idx + 1:]
-    if not later:
-        raise ConfigurationError("lower barrier needs a checkpoint after t0")
-    mask = scan_mask(traj)
-    t_end = traj.snapshots[-1].t
-    C = barrier_slope_constant(traj.pack, t0, t_end, sign=-1.0)
-    _, inf0 = _sup_inf(tc_potential_values(traj, traj.snapshots[idx]), mask)
-
-    margin = np.inf
-    witness = None
-    infs = []
-    for s in later:
-        _, inf_t = _sup_inf(tc_potential_values(traj, s), mask)
-        infs.append(inf_t)
-        gap = inf_t - (inf0 - C * (s.t - t0))
-        if gap < margin:
-            margin = gap
-            witness = (s.t, _argmin_node(tc_potential_values(traj, s), mask))
-    return EstimateReport(
-        estimate_id="lower_barrier",
-        run_ids=(traj.run_id,),
-        parameters={"t0": t0, "C": C, "constant_mode": "pack"},
-        margin=float(margin),
-        witness=witness,
-        tolerance=tolerance,
-        aux={"inf_at_t0": inf0, "inf_series": infs,
-             "times": [s.t for s in later]},
-    )
+    return _check_barrier(traj, t0, -1.0, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +473,13 @@ def check_monotone_eps(trajs, t: float,
 
 
 def check_comparison(traj_u: Trajectory, traj_v: Trajectory,
-                     tolerance: float | None = None) -> ComparisonVerdict:
-    """sup_X(u(t) - v(t)) never exceeds sup_X(u0 - v0), up to scheme slack."""
+                     tolerance: float | None = None) -> EstimateReport:
+    """sup_X(u(t) - v(t)) never exceeds sup_X(u0 - v0), up to scheme slack.
+
+    margin = -drift: the initial sup gap minus its largest later value.
+    ``aux`` carries the sup and inf gap series, so that swapping the runs
+    maps the report onto its exact negation: sup(v-u) = -inf(u-v) nodewise.
+    """
     if not (_same_family(traj_u, traj_v) and _same_grid(traj_u, traj_v)):
         raise ConfigurationError("comparison needs matching configs")
     if tolerance is None:
@@ -528,15 +496,20 @@ def check_comparison(traj_u: Trajectory, traj_v: Trajectory,
         sups.append(float(diff[mask].max()))
         infs.append(float(diff[mask].min()))
     sups = np.array(sups)
-    drift = float((sups[1:] - sups[0]).max()) if len(sups) > 1 else 0.0
-    return ComparisonVerdict(
+    margin, witness = 0.0, None
+    if len(sups) > 1:
+        i = int(np.argmax(sups[1:])) + 1
+        margin, witness = float(sups[0] - sups[i]), (times[i], None)
+    return EstimateReport(
+        estimate_id="comparison",
         run_ids=(traj_u.run_id, traj_v.run_id),
-        times=np.array(times),
-        sup_gap_series=sups,
-        inf_gap_series=np.array(infs),
-        initial_sup_gap=float(sups[0]),
-        drift=drift,
+        parameters={},
+        margin=margin,
+        witness=witness,
         tolerance=float(tolerance),
+        aux={"times": np.array(times), "sup_gap_series": sups,
+             "inf_gap_series": np.array(infs),
+             "initial_sup_gap": float(sups[0])},
     )
 
 
@@ -777,3 +750,115 @@ def divergence_signature(trajs, t0: float = 0.0,
         "growth_factors": growth,
         "diverging": diverging,
     }
+
+
+# ---------------------------------------------------------------------------
+# the estimate table
+
+
+class Family(NamedTuple):
+    """A run-family shape: how an archive's runs are cut into checker inputs."""
+
+    needs: str                       # what a strict selection lacks without it
+    split: Callable[[list], list]    # runs sorted by id -> checker inputs
+
+
+def _eps(traj: Trajectory) -> float:
+    return traj.pack.params.epsilon
+
+
+def _grouped(runs, key, order, min_size: int) -> list:
+    """Groups of >= min_size runs sharing ``key``, by ascending key; each
+    group sorted by ``order``."""
+    groups: dict = {}
+    for traj in runs:
+        groups.setdefault(key(traj), []).append(traj)
+    return [sorted(groups[k], key=order) for k in sorted(groups)
+            if len(groups[k]) >= min_size]
+
+
+PER_RUN = Family("a successful run", lambda runs: [[tr] for tr in runs])
+#: consecutive truncation levels at one eps, the deeper (lower) one first
+LEVEL_PAIRS = Family(
+    "two truncation levels at a shared eps",
+    lambda runs: [pair for fam in _grouped(runs, _eps, lambda tr: -tr.j, 2)
+                  for pair in zip(fam, fam[1:])])
+#: one truncation level across eps, eps decreasing
+EPS_FAMILIES = Family(
+    "one truncation level at two or more eps",
+    lambda runs: _grouped(runs, lambda tr: tr.j, lambda tr: -_eps(tr), 2))
+#: one eps across truncation levels, j increasing
+LEVEL_FAMILIES = Family(
+    "three or more truncation levels at one eps",
+    lambda runs: _grouped(runs, _eps, lambda tr: tr.j, 3))
+#: the eps family with the most runs, the deepest level on ties
+SIGNATURE_FAMILY = Family(
+    EPS_FAMILIES.needs,
+    lambda runs: sorted(EPS_FAMILIES.split(runs),
+                        key=lambda fam: (len(fam), fam[0].j))[-1:])
+
+
+def _first_from(times, t: float, fallback: float) -> float:
+    return next((s for s in times if s >= t), fallback)
+
+
+def _phidot_lower(fam, params, _datum) -> EstimateReport:
+    if "t0" not in params or "tprime" not in params:
+        raise ConfigurationError(
+            "phidot_lower requires t0=<checkpoint> and tprime=<time> "
+            "parameters")
+    return check_phidot_lower(fam[0], params["t0"], params["tprime"])
+
+
+def _monotone_eps(fam, params, _datum) -> EstimateReport:
+    cps = fam[0].checkpoint_times
+    return check_monotone_eps(
+        fam, params.get("t", _first_from(cps, 0.1, cps[len(cps) // 2])))
+
+
+def _signature(fam, params, _datum) -> EstimateReport:
+    """The divergence signature against the expected verdict: margin 0 when
+    they agree, -inf when they do not."""
+    sig = divergence_signature(fam)
+    expect = bool(params.get("expect", 0.0))
+    return EstimateReport(
+        "signature", tuple(traj.run_id for traj in fam),
+        {"j": fam[0].j, "expect_diverging": expect, **sig},
+        0.0 if sig["diverging"] == expect else -np.inf, None, 0.0)
+
+
+class Estimate(NamedTuple):
+    family: Family
+    #: (family of runs, selection parameters, initial datum) -> report
+    check: Callable
+    default: bool                    # part of the default battery
+
+
+# Each check looks its checker up by module-level name when it runs, so a
+# checker replaced on this module (a test double, a tracer) is the one used.
+# Order is the default battery's print order.
+ESTIMATES = {
+    "upper_barrier": Estimate(PER_RUN, lambda fam, p, _: check_upper_barrier(
+        fam[0], p.get("t0", fam[0].checkpoint_times[0])), True),
+    "lower_barrier": Estimate(PER_RUN, lambda fam, p, _: check_lower_barrier(
+        fam[0], p.get("t0", fam[0].checkpoint_times[0])), True),
+    "hstat": Estimate(PER_RUN, lambda fam, p, _: check_hstat(
+        fam[0], p.get("t0")), True),
+    "density_ratio": Estimate(PER_RUN, lambda fam, p, _: check_density_ratio(
+        fam[0], p.get("t0", _first_from(fam[0].checkpoint_times, 0.1,
+                                        fam[0].checkpoint_times[0]))), True),
+    "comparison": Estimate(LEVEL_PAIRS, lambda fam, p, _: check_comparison(
+        *fam), True),
+    "monotone_eps": Estimate(EPS_FAMILIES, _monotone_eps, True),
+    "osc": Estimate(LEVEL_FAMILIES, lambda fam, p, _: check_osc(fam), True),
+    "phidot_lower": Estimate(PER_RUN, _phidot_lower, False),
+    "reparam_ordering": Estimate(
+        LEVEL_PAIRS, lambda fam, p, _: check_reparam_ordering(
+            *fam, p.get("c_tilde", 0.9)), False),
+    "lower_envelope": Estimate(PER_RUN, lambda fam, p, _: check_lower_envelope(
+        fam[0], p.get("l", 2.0)), False),
+    "l1_convergence": Estimate(
+        PER_RUN, lambda fam, p, datum: check_l1_convergence(
+            fam[0], datum.phi0, t_top=p.get("t_top", 0.2)), False),
+    "signature": Estimate(SIGNATURE_FAMILY, _signature, False),
+}

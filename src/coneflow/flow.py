@@ -146,12 +146,6 @@ def flow_rhs_values(pack: BackgroundPack, t: float, phi_values: np.ndarray,
     return np.log(density / pack.omega_cone_eps.values) + pack.F_eps.values
 
 
-def flow_rhs(pack: BackgroundPack, t: float, phi: ScalarField) -> ScalarField:
-    """Nodewise flow velocity; raises on parabolicity loss with node list."""
-    vals = flow_rhs_values(pack, t, phi.values)
-    return ScalarField(pack.surface, vals, tag=f"phidot[t={t:.6g}]")
-
-
 def flow_rhs_unreduced_values(pack: BackgroundPack, t: float,
                               phi_values: np.ndarray) -> np.ndarray:
     """Same velocity through the untransformed equation, for cross-checks.
@@ -261,24 +255,6 @@ def _finalize(pack: BackgroundPack, state: FlowState, phi_new: np.ndarray,
         step_count=state.step_count + 1,
         rejected_steps=state.rejected_steps,
     )
-
-
-def step(pack: BackgroundPack, state: FlowState, control: StepControl,
-         dt: float) -> FlowState | None:
-    """Advance one step of size dt; None signals rejection (retry smaller)."""
-    try:
-        if control.scheme is Scheme.EXPLICIT_RK2:
-            out = _attempt_rk2(pack, state, control, dt)
-            if out is None:
-                return None
-            phi_new = out[0]
-        else:
-            phi_new = _attempt_newton(pack, state, control, dt)
-            if phi_new is None:
-                return None
-        return _finalize(pack, state, phi_new, dt)
-    except PositivityError:
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -152,17 +152,18 @@ def test_criterion_07_comparison_principle(heat_pack):
         low = run_flow(pack, 0.0, u0, control, cps, run_id=f"cmp_u{i}")
         high = run_flow(pack, 0.0, v0, control, cps, run_id=f"cmp_v{i}")
         verdict = check_comparison(low, high)
-        assert verdict.initial_sup_gap <= 0.0
-        assert verdict.passed, (i, verdict.drift)
-        assert verdict.drift <= 1e-6 + verdict.tolerance
+        assert verdict.aux["initial_sup_gap"] <= 0.0
+        assert verdict.passed, (i, -verdict.margin)
+        assert -verdict.margin <= 1e-6 + verdict.tolerance
         last = low
 
     for shift in (0.1, 0.025):
         shifted = run_flow(pack, 0.0, last.initial_state.phi.values + shift,
                            control, cps, run_id=f"cmp_s{shift:g}")
         verdict = check_comparison(last, shifted)
-        assert verdict.initial_sup_gap == pytest.approx(-shift, abs=1e-14)
-        assert verdict.drift <= 1e-10
+        assert verdict.aux["initial_sup_gap"] == pytest.approx(-shift,
+                                                               abs=1e-14)
+        assert -verdict.margin <= 1e-10
     passed(7, "comparison principle")
 
 

@@ -8,7 +8,7 @@ from coneflow.archive import (check_integrity, load_archive, read_frames,
                               save_run, load_run, series_csv, snapshot_csv,
                               write_archive, write_frames)
 from coneflow.cli import execute_runs
-from coneflow.config import parse_config
+from coneflow.config import build_lab, parse_config
 from coneflow.errors import ArchiveError
 from coneflow.flow import SERIES_COLUMNS
 
@@ -35,10 +35,11 @@ times = 0.0125, 0.025, 0.05, 0.1
 def archived(tmp_path_factory):
     """One small two-eps family, written out and loaded back."""
     config = parse_config(CONFIG_TEXT)
-    results, errors = execute_runs(config)
+    lab = build_lab(config)
+    results, errors = execute_runs(config, lab)
     assert errors == {}
     directory = tmp_path_factory.mktemp("arc") / "family"
-    write_archive(directory, config, results)
+    write_archive(directory, config, lab.k, results)
     return config, results, directory
 
 
@@ -152,7 +153,7 @@ class TestArchiveRoundtrip:
         twins = []
         for name in ("a", "b"):
             d = tmp_path / name
-            write_archive(d, config, results)
+            write_archive(d, config, results[0].pack.params.k, results)
             twins.append(json.loads((d / "manifest.json").read_text()))
         assert twins[0]["files"] == twins[1]["files"]
         assert twins[0]["created"] != "" and twins[1]["created"] != ""
@@ -160,7 +161,7 @@ class TestArchiveRoundtrip:
     def test_corrupted_run_fails_integrity(self, archived, tmp_path):
         config, results, _directory = archived
         d = tmp_path / "corrupt"
-        write_archive(d, config, results)
+        write_archive(d, config, results[0].pack.params.k, results)
         target = d / "run_e0.2.ckrf"
         blob = bytearray(target.read_bytes())
         blob[100] ^= 0xFF
@@ -173,7 +174,8 @@ class TestArchiveRoundtrip:
     def test_incomplete_archive_refuses_to_load(self, archived, tmp_path):
         config, results, _directory = archived
         d = tmp_path / "partial"
-        write_archive(d, config, results, complete=False)
+        write_archive(d, config, results[0].pack.params.k, results,
+                      complete=False)
         assert any("incomplete" in p for p in check_integrity(d))
         with pytest.raises(ArchiveError, match="incomplete"):
             load_archive(d)
@@ -181,7 +183,7 @@ class TestArchiveRoundtrip:
     def test_failed_runs_recorded_and_flagged(self, archived, tmp_path):
         config, results, _directory = archived
         d = tmp_path / "failed"
-        write_archive(d, config, results[:1],
+        write_archive(d, config, results[0].pack.params.k, results[:1],
                       run_errors={"e0.1": "PositivityError: lost at node"})
         manifest = json.loads((d / "manifest.json").read_text())
         assert manifest["runs"]["e0.1"]["status"] == "failed"

@@ -1,12 +1,14 @@
 """Config parsing: defaults, validation with line numbers, emit roundtrip."""
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from coneflow.background import compute_tmax
-from coneflow.config import (ESTIMATE_IDS, emit_config, parse_config,
-                             resolve_flow_params)
+from coneflow.config import build_lab, emit_config, parse_config
 from coneflow.errors import ConfigurationError
+from coneflow.estimates import ESTIMATES
 from coneflow.flow import Scheme
 from coneflow.initial_data import DatumKind
 from coneflow.surfaces import SurfaceKind
@@ -46,7 +48,6 @@ estimates = upper_barrier(t0=0.1); hstat; comparison
 
 [output]
 dir = out/sweep
-seed = 7
 """
 
 
@@ -68,7 +69,7 @@ class TestDefaults:
         assert cfg.initial_params == {"c": 0.0}
         assert cfg.j_list == [] and cfg.sigma == 0.25
         assert cfg.control.scheme is Scheme.SEMI_IMPLICIT_NEWTON
-        assert cfg.verify == [] and cfg.out_dir is None and cfg.seed == 0
+        assert cfg.verify == [] and cfg.out_dir is None
 
     def test_default_checkpoints_are_dyadic(self):
         cfg = parse_config(MINIMAL_TORUS)
@@ -88,7 +89,7 @@ class TestDefaults:
         assert cfg.j_list == [2.0, 4.0, 8.0]
         assert cfg.verify == [("upper_barrier", {"t0": 0.1}), ("hstat", {}),
                               ("comparison", {})]
-        assert cfg.out_dir == "out/sweep" and cfg.seed == 7
+        assert cfg.out_dir == "out/sweep"
 
     def test_comments_and_case_do_not_matter(self):
         text = MINIMAL_TORUS.replace("kind = torus", "KIND = Torus  # flat")
@@ -203,18 +204,34 @@ class TestResolve:
         from coneflow.background import path_constant, select_k
         from coneflow.surfaces import build_surface, divisor_section
         cfg = parse_config(SPHERE)
-        params = resolve_flow_params(cfg)
+        lab = build_lab(cfg)
+        params = [pack.params for pack in lab.packs.values()]
         surface = build_surface(cfg.surface_kind, cfg.resolution, cfg.volume)
         divisor = divisor_section(surface, cfg.divisor_points)
         expected = select_k(surface, divisor, 0.5, [0.2, 0.1],
                             path_constant(2.0, -1.5, 1.0))
+        assert lab.k == expected
         assert [p.k for p in params] == [expected, expected]
         assert [p.epsilon for p in params] == [0.2, 0.1]
 
     def test_torus_without_divisor_gets_k_zero(self):
-        params = resolve_flow_params(parse_config(MINIMAL_TORUS))
-        assert len(params) == 1 and params[0].k == 0.0
+        lab = build_lab(parse_config(MINIMAL_TORUS))
+        assert lab.k == 0.0
+        assert [p.params.k for p in lab.packs.values()] == [0.0]
 
     def test_estimate_id_registry_is_complete(self):
-        assert len(ESTIMATE_IDS) == 12
-        assert "signature" in ESTIMATE_IDS and "comparison" in ESTIMATE_IDS
+        assert len(ESTIMATES) == 12
+        assert "signature" in ESTIMATES and "comparison" in ESTIMATES
+        assert [eid for eid, entry in ESTIMATES.items() if entry.default] == [
+            "upper_barrier", "lower_barrier", "hstat", "density_ratio",
+            "comparison", "monotone_eps", "osc"]
+
+
+def test_readme_example_verifies_at_checkpoints():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```\n(\[surface\]\n.*?)```", readme, re.S).group(1)
+    cfg = parse_config(block)
+    times = [params[key] for _name, params in cfg.verify
+             for key in ("t0", "t") if key in params]
+    assert times and all(t in cfg.checkpoints for t in times), (
+        times, cfg.checkpoints)

@@ -137,8 +137,8 @@ def test_envelope_rejects_small_twist(sphere_lab):
 def test_comparison_shift_pair(torus_lab):
     ver = est.check_comparison(torus_lab["runs"]["heat_shifted"],
                                torus_lab["runs"]["heat"])
-    assert ver.initial_sup_gap == pytest.approx(-0.3, abs=1e-12)
-    assert ver.drift <= 1e-10
+    assert ver.aux["initial_sup_gap"] == pytest.approx(-0.3, abs=1e-12)
+    assert -ver.margin <= 1e-10
     assert ver.passed
 
 
@@ -146,8 +146,10 @@ def test_comparison_is_antisymmetric(torus_lab):
     u, v = torus_lab["runs"]["heat_shifted"], torus_lab["runs"]["heat"]
     fwd = est.check_comparison(u, v)
     rev = est.check_comparison(v, u)
-    assert np.array_equal(fwd.sup_gap_series, -rev.inf_gap_series)
-    assert np.array_equal(fwd.inf_gap_series, -rev.sup_gap_series)
+    assert np.array_equal(fwd.aux["sup_gap_series"],
+                          -rev.aux["inf_gap_series"])
+    assert np.array_equal(fwd.aux["inf_gap_series"],
+                          -rev.aux["sup_gap_series"])
 
 
 def test_comparison_rejects_mismatched_runs(torus_lab, sphere_lab):
@@ -168,7 +170,8 @@ def test_ladder_comparison_within_truncation(sphere_lab):
     expected_tol = 1e-8 + 2 * max(est.truncation_scale(hi),
                                   est.truncation_scale(lo))
     assert ver.tolerance == pytest.approx(expected_tol, rel=1e-12)
-    assert ver.drift == pytest.approx(-9.812156760713e-09, rel=1e-3, abs=1e-11)
+    assert -ver.margin == pytest.approx(-9.812156760713e-09, rel=1e-3,
+                                        abs=1e-11)
     assert ver.passed
 
 

@@ -14,7 +14,6 @@ from coneflow.flow import (
     metric_density_values,
     run_flow,
     static_ma_solve,
-    step,
     time_reparam,
 )
 from coneflow.surfaces import (
@@ -112,15 +111,6 @@ def test_stationary_step_exact(torus, torus_pack):
     for snap in traj.snapshots:
         assert np.abs(snap.phi.values).max() == 0.0
         assert np.abs(snap.phi_dot.values).max() == 0.0
-
-
-def test_single_step_api(torus, torus_pack):
-    traj = run_flow(torus_pack, 0.0, np.zeros(torus.shape), StepControl(), [0.01])
-    state = traj.snapshots[0]
-    nxt = step(torus_pack, state, StepControl(), 1e-3)
-    assert nxt is not None
-    assert nxt.t == pytest.approx(0.011)
-    assert np.abs(nxt.phi.values).max() == 0.0
 
 
 def test_heat_decay_rate(torus, torus_pack):
