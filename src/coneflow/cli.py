@@ -61,19 +61,24 @@ def execute_runs(config: RunConfig, lab: Lab, jobs: int = 1):
 
     def one(item):
         run_id, eps, j = item
-        phi = flow_level_values(lab.datum, eps, j, config.sigma)
-        return run_flow(lab.packs[eps], j if j is not None else 0.0, phi,
-                        config.control, config.checkpoints, run_id=run_id,
-                        scan_exclude=scan)
+        try:
+            phi = flow_level_values(lab.datum, eps, j, config.sigma)
+            return run_flow(lab.packs[eps], j if j is not None else 0.0, phi,
+                            config.control, config.checkpoints,
+                            run_id=run_id, scan_exclude=scan), None
+        except ConeflowError as exc:
+            return None, f"{type(exc).__name__}: {exc}"
 
-    results, errors = [], {}
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        futures = [(item[0], pool.submit(one, item)) for item in plan]
-        for run_id, future in futures:
-            try:
-                results.append(future.result())
-            except ConeflowError as exc:
-                errors[run_id] = f"{type(exc).__name__}: {exc}"
+    # One job runs inline: a worker thread's malloc arena keeps the run's
+    # peak memory after the run and adds to what verify and export take.
+    if jobs <= 1:
+        outcomes = [one(item) for item in plan]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(one, plan))
+    results = [traj for traj, _ in outcomes if traj is not None]
+    errors = {item[0]: error for item, (_, error) in zip(plan, outcomes)
+              if error is not None}
     return results, errors
 
 

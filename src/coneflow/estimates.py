@@ -703,14 +703,16 @@ def divergence_signature(trajs, t0: float = 0.0,
     A family (eps decreasing) diverges when some run loses metric positivity
     outright, or when the two-sided density-ratio constant keeps growing by
     at least ``growth_threshold`` per eps-halving instead of stabilizing.
+    It needs at least three eps: a single growth factor cannot show that
+    the constant keeps growing.
     Unlike the equivalence certificate, the ratios here are scanned over
     every node: the divergence lives exactly at the nodes the extremum
     scans set aside.  Admissible data must come back with ``diverging``
     False.
     """
     trajs = list(trajs)
-    if len(trajs) < 2:
-        raise ConfigurationError("signature needs >= 2 runs")
+    if len(trajs) < 3:
+        raise ConfigurationError("signature needs >= 3 runs (eps values)")
     eps = [traj.pack.params.epsilon for traj in trajs]
     if any(b >= a for a, b in zip(eps, eps[1:])):
         raise ConfigurationError("family not eps-sorted")
@@ -791,11 +793,13 @@ EPS_FAMILIES = Family(
 LEVEL_FAMILIES = Family(
     "three or more truncation levels at one eps",
     lambda runs: _grouped(runs, _eps, lambda tr: tr.j, 3))
-#: the eps family with the most runs, the deepest level on ties
+#: the eps family with the most runs, the deepest level on ties, when it
+#: has the three runs the signature needs
 SIGNATURE_FAMILY = Family(
-    EPS_FAMILIES.needs,
-    lambda runs: sorted(EPS_FAMILIES.split(runs),
-                        key=lambda fam: (len(fam), fam[0].j))[-1:])
+    "one truncation level at three or more eps",
+    lambda runs: [fam for fam in sorted(
+        EPS_FAMILIES.split(runs), key=lambda fam: (len(fam), fam[0].j))[-1:]
+        if len(fam) >= 3])
 
 
 def _first_from(times, t: float, fallback: float) -> float:

@@ -7,9 +7,15 @@ background: its evolution is
 
 with the cone background and the twist function F frozen in the pack.  Two
 steppers are provided: a two-stage explicit scheme with a PI step controller
-for cross-checks, and a backward-Euler Newton scheme whose linearization
+for cross-checks, and a backward-Euler scheme whose linearization
 ``I - dt * diag(1/density) * DD`` is an M-matrix, making each implicit step
 monotone.  That monotonicity is what the comparison certificates lean on.
+
+The implicit steps are solved by a chord iteration (Kelley, *Solving
+Nonlinear Equations with Newton's Method*, SIAM 2003, ch. 5): one sparse LU
+factor of the Jacobian is held for a whole run, across steps and changes of
+dt, and rebuilt only when a step on it fails to halve the residual.  The
+static Monge-Ampere solve uses the same iteration.
 
 A trajectory records checkpoint snapshots plus per-step scalar series; the
 static solver and the exponential time reparametrization used by the
@@ -43,6 +49,15 @@ class Termination(enum.Enum):
     REACHED_T = "reached_T"
     STEP_FLOOR = "step_floor"
     POSITIVITY_LOSS = "positivity_loss"
+
+
+class Rejection(enum.Enum):
+    """Why an attempted step (or a static solve) failed."""
+
+    ERROR_TOL = "error_tol"          # embedded error above error_tol
+    STALL = "stall"                  # damped Newton found no decrease
+    ITERATIONS = "iterations"        # tolerance not met within max iters
+    POSITIVITY = "positivity"        # a metric density went non-positive
 
 
 @dataclass(frozen=True)
@@ -177,24 +192,95 @@ def flow_rhs_unreduced_values(pack: BackgroundPack, t: float,
 
 
 def _attempt_rk2(pack, state, control, dt):
-    """One Heun step; returns (phi_new, embedded_err) or None when the
-    embedded error exceeds the tolerance.  Stage positivity loss raises."""
+    """One Heun step; returns (phi_new, embedded_err), or Rejection.ERROR_TOL
+    when the embedded error exceeds the tolerance.  Stage positivity loss
+    raises."""
     phi = state.phi.values
     k1 = state.phi_dot.values
     k2 = flow_rhs_values(pack, state.t + dt, phi + dt * k1)
     err = 0.5 * dt * float(np.abs(k2 - k1).max())
     if err > control.error_tol:
-        return None
+        return Rejection.ERROR_TOL
     phi_new = phi + 0.5 * dt * (k1 + k2)
     return phi_new, err
 
 
-def _attempt_newton(pack, state, control, dt):
-    """Backward-Euler solve of u = phi + dt*rhs(t+dt, u) by damped Newton.
+def _chord(u, residual, jacobian, held, tol, max_iters, halvings):
+    """Drive the max-norm residual at u to <= tol on a held LU factor.
+
+    ``residual(u)`` returns (r, aux), or (None, None) where u leaves the
+    domain; ``jacobian(aux)`` is the sparse Jacobian at that u.  ``held[0]``
+    is the LU factor carried in from earlier solves and out to later ones,
+    None when there is none.  A full step on the held factor is taken when
+    it at least halves the residual.  Otherwise a stale factor (built at an
+    earlier iterate) is dropped, rebuilt at u and the step retried; the step
+    of a fresh factor is Newton's, and it is damped by up to ``halvings``
+    halvings until the residual decreases.  Every step taken counts against
+    ``max_iters``.
+
+    Returns (u, residual history, None) on success and (u, history, cause)
+    on failure.
+    """
+    res, aux = residual(u)
+    if res is None:
+        return u, [], Rejection.POSITIVITY
+    norm = float(np.abs(res).max())
+    history = [norm]
+    fresh = False
+
+    def evaluate(vec):
+        r, a = residual(vec)
+        return r, a, np.inf if r is None else float(np.abs(r).max())
+
+    while not norm <= tol:
+        if len(history) > max_iters:
+            return u, history, Rejection.ITERATIONS
+        if held[0] is None:
+            held[0] = spla.splu(jacobian(aux).tocsc())
+            fresh = True
+        delta = held[0].solve(-res)
+        lam = 1.0
+        res_new, aux_new, norm_new = evaluate(u + delta)
+        if not norm_new <= max(0.5 * norm, tol):
+            if not fresh:
+                held[0] = None      # drop first: one factor alive at a time
+                continue
+            for _ in range(halvings - 1):
+                if norm_new < norm:
+                    break
+                lam *= 0.5
+                res_new, aux_new, norm_new = evaluate(u + lam * delta)
+            if not norm_new < norm:
+                cause = (Rejection.POSITIVITY if res_new is None
+                         else Rejection.STALL)
+                return u, history, cause
+        u = u + lam * delta
+        res, aux, norm = res_new, aux_new, norm_new
+        history.append(norm)
+        fresh = False
+    return u, history, None
+
+
+def _attempt_newton(pack, state, control, dt, held):
+    """Backward-Euler solve of u = phi + dt*rhs(t+dt, u) by a chord iteration.
 
     The Jacobian I - dt*diag(1/density)*DD is strictly diagonally dominant
     with nonpositive off-diagonal entries, so every solve is well posed and
-    the step is order preserving.  Returns the new potential or None."""
+    the step is order preserving.  ``held`` carries the run's one LU factor
+    between steps (see ``_chord``); it is not keyed by dt, because a factor
+    built at the previous dt usually still contracts.  The step is accepted
+    only at max-norm residual <= newton_tol.
+
+    The iteration runs on v = u - c, with c the midrange of phi, and
+    evaluates the density as path + DD v; ddbar kills constants, so this is
+    the same equation.  It matters on fine grids: at N=128 the pole rows'
+    Jacobian entries reach 1e6, so one rounding unit of an uncentered u
+    (|u| ~ 1) moves the residual by about 1e-10, a floor just above the
+    default newton_tol, while v is a few hundredths and resolves the
+    residual far below it.
+
+    Returns the new potential or the Rejection cause.
+    """
     surface = pack.surface
     n = surface.resolution
     phi = state.phi.values.ravel()
@@ -203,42 +289,27 @@ def _attempt_newton(pack, state, control, dt):
     cone = pack.omega_cone_eps.values.ravel()
     f_twist = pack.F_eps.values.ravel()
     dd = surface.ddbar_matrix()
+    center = 0.5 * (phi.max() + phi.min())
+    base = phi - center
 
-    u = phi + dt * state.phi_dot.values.ravel()
-    if (path + dd @ u).min() <= 0.0:
-        u = phi.copy()
+    v = base + dt * state.phi_dot.values.ravel()
+    if (path + dd @ v).min() <= 0.0:
+        v = base
 
     def residual(vec):
         dens = path + dd @ vec
         if dens.min() <= 0.0:
             return None, None
-        return vec - phi - dt * (np.log(dens / cone) + f_twist), dens
+        return vec - base - dt * (np.log(dens / cone) + f_twist), dens
 
-    res, dens = residual(u)
-    if res is None:
-        return None
-    norm = float(np.abs(res).max())
-    eye = sp.identity(n * n, format="csr")
-    for _ in range(control.max_newton_iters):
-        if norm <= control.newton_tol:
-            return u.reshape(surface.shape)
-        jac = eye - dt * sp.diags(1.0 / dens) @ dd
-        delta = spla.splu(jac.tocsc()).solve(-res)
-        lam = 1.0
-        for _ in range(12):
-            res_new, dens_new = residual(u + lam * delta)
-            if res_new is not None:
-                norm_new = float(np.abs(res_new).max())
-                if norm_new < norm or norm_new <= control.newton_tol:
-                    break
-            lam *= 0.5
-        else:
-            return None
-        u = u + lam * delta
-        res, dens, norm = res_new, dens_new, norm_new
-    if norm <= control.newton_tol:
-        return u.reshape(surface.shape)
-    return None
+    def jacobian(dens):
+        return sp.identity(n * n, format="csr") - dt * sp.diags(1.0 / dens) @ dd
+
+    v, _, cause = _chord(v, residual, jacobian, held, control.newton_tol,
+                         control.max_newton_iters, halvings=12)
+    if cause is not None:
+        return cause
+    return (v + center).reshape(surface.shape)
 
 
 def _finalize(pack: BackgroundPack, state: FlowState, phi_new: np.ndarray,
@@ -285,7 +356,9 @@ def run_flow(pack: BackgroundPack, j: float, phi_j: ScalarField | np.ndarray,
     Checkpoints must be strictly increasing inside (0, T]; each one is hit
     exactly.  The integration is deterministic: the step sequence depends
     only on the config, never on timing.  Termination is recorded rather
-    than raised so partial runs stay inspectable.
+    than raised so partial runs stay inspectable; a run that stops short
+    reports the cause of its last rejected attempt (positivity loss, or
+    the step floor for any other cause).
     """
     params = pack.params
     cps = [float(c) for c in checkpoints]
@@ -323,7 +396,7 @@ def run_flow(pack: BackgroundPack, j: float, phi_j: ScalarField | np.ndarray,
     termination = Termination.REACHED_T
     dt_ctrl = control.dt_init
     rejected_total = 0
-    lost_positivity = False
+    held = [None]       # the run's one LU factor, shared by every attempt
 
     for target in cps:
         while state.t < target - 1e-13:
@@ -336,28 +409,27 @@ def run_flow(pack: BackgroundPack, j: float, phi_j: ScalarField | np.ndarray,
             dt = min(dt_want, target - state.t)
             accepted = None
             last_err = None
-            while accepted is None:
+            while True:
                 try:
                     if control.scheme is Scheme.EXPLICIT_RK2:
                         out = _attempt_rk2(pack, state, control, dt)
-                        if out is not None:
-                            accepted = _finalize(pack, state, out[0], dt)
-                            last_err = out[1]
+                        if not isinstance(out, Rejection):
+                            out, last_err = out
                     else:
-                        cand = _attempt_newton(pack, state, control, dt)
-                        if cand is not None:
-                            accepted = _finalize(pack, state, cand, dt)
+                        out = _attempt_newton(pack, state, control, dt, held)
+                    if not isinstance(out, Rejection):
+                        accepted = _finalize(pack, state, out, dt)
+                        break
+                    cause = out
                 except PositivityError:
-                    accepted = None
-                    lost_positivity = True
-                if accepted is not None:
-                    break
+                    cause = Rejection.POSITIVITY
                 dt *= 0.5
                 rejected_total += 1
                 if dt < control.dt_min:
                     break
             if accepted is None:
-                termination = (Termination.POSITIVITY_LOSS if lost_positivity
+                termination = (Termination.POSITIVITY_LOSS
+                               if cause is Rejection.POSITIVITY
                                else Termination.STEP_FLOOR)
                 break
             if control.scheme is Scheme.EXPLICIT_RK2 and last_err is not None:
@@ -396,10 +468,13 @@ def static_ma_solve(surface: ModelSurface, data_density: np.ndarray,
                     coupling: np.ndarray | float = 0.0,
                     initial: np.ndarray | None = None,
                     tol: float = 1e-9, max_iters: int = 60) -> ScalarField:
-    """Solve density(omega + ddbar u) = e^(u + G) * data by damped Newton.
+    """Solve density(omega + ddbar u) = e^(u + G) * data by a chord iteration.
 
     The e^u coupling makes the operator strictly monotone, so the discrete
-    solution is unique; convergence is to max-norm residual <= tol.
+    solution is unique; convergence is to max-norm residual <= tol.  The
+    factor is built at the first iterate and reused while it halves the
+    residual (see ``_chord``), with a damped Newton step as the fallback;
+    ``max_iters`` bounds the steps taken.
     """
     data = np.asarray(data_density, dtype=float)
     if data.shape != surface.shape or data.min() <= 0.0:
@@ -409,30 +484,21 @@ def static_ma_solve(surface: ModelSurface, data_density: np.ndarray,
     w = surface.area_weight.ravel()
     rhs0 = (data * np.exp(g)).ravel()
 
+    def residual(vec):
+        source = rhs0 * np.exp(vec)
+        return w + dd @ vec - source, source
+
     u = (np.zeros(surface.shape) if initial is None else initial).ravel().copy()
-    history = []
-    for _ in range(max_iters):
-        source = rhs0 * np.exp(u)
-        res = w + dd @ u - source
-        norm = float(np.abs(res).max())
-        history.append(norm)
-        if norm <= tol:
-            return ScalarField(surface, u.reshape(surface.shape), tag="ma_solution")
-        jac = dd - sp.diags(source)
-        delta = spla.splu(jac.tocsc()).solve(-res)
-        lam = 1.0
-        for _ in range(20):
-            res_try = w + dd @ (u + lam * delta) - rhs0 * np.exp(u + lam * delta)
-            if float(np.abs(res_try).max()) < norm:
-                break
-            lam *= 0.5
-        else:
-            raise SolverError("static solve stagnated", residual_history=history)
-        u = u + lam * delta
-    raise SolverError(
-        f"static solve did not reach {tol:g} in {max_iters} iterations",
-        residual_history=history,
-    )
+    u, history, cause = _chord(u, residual,
+                               lambda source: dd - sp.diags(source),
+                               [None], tol, max_iters, halvings=20)
+    if cause is Rejection.ITERATIONS:
+        raise SolverError(
+            f"static solve did not reach {tol:g} in {max_iters} iterations",
+            residual_history=history)
+    if cause is not None:
+        raise SolverError("static solve stagnated", residual_history=history)
+    return ScalarField(surface, u.reshape(surface.shape), tag="ma_solution")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ v = 0.5
 
 [flow]
 gamma = 1.0
-eps = 0.2, 0.1
+eps = 0.2, 0.1, 0.05
 t = 0.1
 
 [initial]
@@ -93,7 +93,7 @@ class TestRun:
     def test_writes_expected_archive(self, torus_archive):
         names = sorted(p.name for p in torus_archive.iterdir())
         assert names == ["config.txt", "manifest.json", "pack.ckrf",
-                         "run_e0.1.ckrf", "run_e0.2.ckrf"]
+                         "run_e0.05.ckrf", "run_e0.1.ckrf", "run_e0.2.ckrf"]
 
     def test_repeat_run_is_deterministic(self, torus_cfg, tmp_path):
         manifests = []
@@ -147,6 +147,16 @@ class TestVerify:
         assert main(["verify", "--out", str(out)]) == 1
         assert "FAIL signature" in capsys.readouterr().out
 
+    def test_signature_needs_three_eps(self, tmp_path, capsys):
+        # one growth factor between two eps cannot show divergence
+        cfg = tmp_path / "two_eps.cfg"
+        cfg.write_text(TORUS_CFG.replace("eps = 0.2, 0.1, 0.05",
+                                         "eps = 0.2, 0.1"))
+        out = tmp_path / "arc"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out)]) == 2
+        assert "three or more eps" in capsys.readouterr().err
+
     def test_tolerance_scale_loosens_failures(self, tmp_path, monkeypatch):
         # a check that fails at the stock tolerance must pass when scaled up
         import coneflow.estimates as est
@@ -187,8 +197,8 @@ class TestExport:
         assert len(series) == 1 + 4  # header plus one row per checkpoint
         field = (exports / "e0.2_t0.05_field.csv").read_text().splitlines()
         assert len(field) == 1 + 16 * 16
-        # 2 runs x (1 series + 4 snapshots)
-        assert len(list(exports.iterdir())) == 10
+        # 3 runs x (1 series + 4 snapshots)
+        assert len(list(exports.iterdir())) == 15
 
     def test_reexport_is_byte_identical(self, torus_archive):
         path = torus_archive / "exports" / "e0.1_series.csv"

@@ -372,4 +372,6 @@ def test_signature_validation(sphere_lab):
     with pytest.raises(ConfigurationError):
         est.divergence_signature(sphere_lab["lp_runs"][:1])
     with pytest.raises(ConfigurationError):
+        est.divergence_signature(sphere_lab["lp_runs"][:2])
+    with pytest.raises(ConfigurationError):
         est.divergence_signature(list(reversed(sphere_lab["lp_runs"])))

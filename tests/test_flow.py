@@ -1,11 +1,15 @@
 """Stepper, trajectory driver, static solver, and reparametrization tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import coneflow.flow as flow
 from coneflow.background import FlowParams, build_pack, path_constant, select_k
 from coneflow.errors import ConfigurationError, PositivityError, SolverError
 from coneflow.flow import (
+    Rejection,
     Scheme,
     StepControl,
     Termination,
@@ -240,6 +244,86 @@ def test_step_floor_termination(torus, torus_pack):
     assert traj.termination is Termination.STEP_FLOOR
     assert not traj.snapshots
     assert traj.initial_state.rejected_steps == 0
+
+
+def test_newton_positivity_loss_is_reported(torus, torus_pack):
+    # the path density goes negative at one node for every t > 0, so each
+    # implicit attempt starts from a non-positive density
+    pack = dataclasses.replace(torus_pack)
+    node = (5, 7)
+
+    def dropped_path(t):
+        path = torus_pack.omega_path_eps(t).copy()
+        if t > 0.0:
+            path[node] = -1.0
+        return path
+
+    pack.omega_path_eps = dropped_path
+    traj = run_flow(pack, 0.0, np.zeros(torus.shape), StepControl(), [0.1])
+    assert traj.termination is Termination.POSITIVITY_LOSS
+    assert not traj.snapshots
+
+
+def test_rk2_step_floor_after_recovered_positivity(torus, torus_pack,
+                                                  monkeypatch):
+    # a positivity rejection that a smaller step recovers from must not
+    # label a later step-floor stop
+    calls = []
+
+    def scripted(pack, state, control, dt):
+        calls.append(dt)
+        if len(calls) == 1:
+            raise PositivityError("stage density non-positive")
+        if len(calls) == 2:
+            return state.phi.values.copy(), 0.0
+        return Rejection.ERROR_TOL
+
+    monkeypatch.setattr(flow, "_attempt_rk2", scripted)
+    ctrl = StepControl(scheme=Scheme.EXPLICIT_RK2, dt_init=1e-4, dt_min=1e-6,
+                       dt_max=1e-3)
+    traj = run_flow(torus_pack, 0.0, np.zeros(torus.shape), ctrl, [0.1])
+    assert len(calls) > 3
+    assert traj.termination is Termination.STEP_FLOOR
+
+
+def test_chord_solver_reuses_factors(sphere_pack, monkeypatch):
+    # one LU factor serves many steps, and every accepted step still solves
+    # the backward-Euler equation to newton_tol (checked through the
+    # independent stencil evaluation of flow_rhs_values)
+    factorizations = []
+    real_splu = flow.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        factorizations.append(1)
+        return real_splu(*args, **kwargs)
+
+    residuals = []
+    real_finalize = flow._finalize
+
+    def checked_finalize(pack, state, phi_new, dt):
+        rhs = flow_rhs_values(pack, state.t + dt, phi_new)
+        residuals.append(float(np.abs(phi_new - state.phi.values
+                                      - dt * rhs).max()))
+        return real_finalize(pack, state, phi_new, dt)
+
+    monkeypatch.setattr(flow.spla, "splu", counting_splu)
+    monkeypatch.setattr(flow, "_finalize", checked_finalize)
+    control = StepControl()
+    traj = run_flow(sphere_pack, 0.0, np.zeros(sphere_pack.surface.shape),
+                    control, [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0])
+    steps = traj.snapshots[-1].step_count
+    assert traj.termination is Termination.REACHED_T
+    assert len(residuals) == steps
+    assert max(residuals) <= control.newton_tol
+    assert 4 * len(factorizations) <= steps
+
+
+def test_doubled_grid_reaches_horizon_without_rejections(doubled_lab):
+    # at N=128 the pole rows once stalled just above newton_tol from t~0.84
+    run = doubled_lab["run"]
+    assert run.termination is Termination.REACHED_T
+    assert run.snapshots[-1].t == pytest.approx(1.0)
+    assert run.snapshots[-1].rejected_steps == 0
 
 
 def test_scan_exclusion_masks_extrema(torus, torus_pack):
