@@ -2,8 +2,8 @@
 
 Layout of an archive directory::
 
-    config.txt        canonical config copy (self-describing re-verification)
-    pack.ckrf         resolved family parameters (auto-selected k included)
+    config.txt        canonical config with the cone coefficient k the runs
+                      used (an automatic k resolved), the family's one record
     run_<id>.ckrf     one file per trajectory: states, series, step control
     manifest.json     content hashes, per-run status, completion flag
     reports/          verification reports (written by the verify command)
@@ -28,7 +28,7 @@ import numpy as np
 from .config import Lab, RunConfig, build_lab, emit_config, parse_config
 from .errors import ArchiveError
 from .flow import (FlowState, Scheme, StepControl, Termination, Trajectory,
-                   SERIES_COLUMNS)
+                   SERIES_COLUMNS, at_checkpoint)
 from .surfaces import ScalarField
 
 MAGIC = b"CKRF1"
@@ -118,7 +118,7 @@ def _sha256(path: Path) -> str:
 
 def save_run(directory, traj: Trajectory) -> str:
     """Write one trajectory; returns the file name used."""
-    control = traj.control if traj.control is not None else StepControl()
+    control = traj.control
     frames = [
         ("run_id", traj.run_id),
         ("eps", float(traj.pack.params.epsilon)),
@@ -150,13 +150,17 @@ def save_run(directory, traj: Trajectory) -> str:
     return name
 
 
-def load_run(path, pack) -> Trajectory:
-    """Rebuild a trajectory against an already-built background pack."""
+def load_run(path, packs: dict) -> Trajectory:
+    """Rebuild a trajectory against the already-built pack of its eps.
+
+    ``packs`` maps eps to background pack, as ``Lab.packs`` does.
+    """
     fr = read_frames(path)
-    if abs(float(fr["eps"]) - pack.params.epsilon) > 1e-15:
+    pack = packs.get(float(fr["eps"]))
+    if pack is None:
         raise ArchiveError(
             f"{Path(path).name}: stored eps {fr['eps']} does not match "
-            f"pack eps {pack.params.epsilon}")
+            f"any pack eps {sorted(packs)}")
     control = StepControl(
         scheme=Scheme(fr["scheme"]),
         dt_init=float(fr["control/dt_init"]),
@@ -194,24 +198,6 @@ def load_run(path, pack) -> Trajectory:
 
 # ---------------------------------------------------------------------------
 # whole archives
-
-
-def save_pack_descriptor(directory, config: RunConfig, k: float) -> str:
-    frames = [
-        ("surface_kind", config.surface_kind.value),
-        ("resolution", config.resolution),
-        ("volume", config.volume),
-        ("divisor_points", np.asarray(config.divisor_points, dtype=float
-                                      ).reshape(-1, 2)),
-        ("gamma", config.gamma),
-        ("k", float(k)),
-        ("T", config.T),
-        ("eta_degree", config.eta_degree),
-        ("eps_list", np.asarray(config.eps_list, dtype=float)),
-        ("sigma", config.sigma),
-    ]
-    write_frames(Path(directory) / "pack.ckrf", frames)
-    return "pack.ckrf"
 
 
 def write_manifest(directory, run_status: dict, complete: bool = True) -> None:
@@ -268,14 +254,16 @@ class Archive:
     trajectories: dict   # run_id -> Trajectory
 
 
-def write_archive(directory, config: RunConfig, k: float, trajectories,
+def write_archive(directory, config: RunConfig, trajectories,
                   run_errors: dict | None = None, complete: bool = True) -> Path:
-    """Persist a family of runs built with cone coefficient ``k``; returns
-    the archive directory."""
+    """Persist a family of runs; returns the archive directory.
+
+    ``config`` should carry the k the runs used (``Lab.k`` for ``k = auto``),
+    so that loading the archive does not select k again.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "config.txt").write_text(emit_config(config))
-    save_pack_descriptor(directory, config, k)
     status = {}
     for traj in trajectories:
         name = save_run(directory, traj)
@@ -295,17 +283,10 @@ def load_archive(directory) -> Archive:
             f"archive {directory} failed integrity check: " + "; ".join(problems))
     manifest = json.loads((directory / "manifest.json").read_text())
     config = parse_config((directory / "config.txt").read_text())
-    # the stored k, so that an automatic k is not selected again
-    k = float(read_frames(directory / "pack.ckrf")["k"])
-    lab = build_lab(dataclasses.replace(config, k=k))
-
-    trajectories = {}
-    for run_id, info in manifest["runs"].items():
-        if info["status"] != "ok":
-            continue
-        path = directory / info["file"]
-        eps = float(read_frames(path)["eps"])
-        trajectories[run_id] = load_run(path, lab.packs[eps])
+    lab = build_lab(config)
+    trajectories = {run_id: load_run(directory / info["file"], lab.packs)
+                    for run_id, info in manifest["runs"].items()
+                    if info["status"] == "ok"}
     return Archive(directory=directory, config=config, manifest=manifest,
                    lab=lab, trajectories=trajectories)
 
@@ -319,7 +300,7 @@ def series_csv(traj: Trajectory) -> str:
     sel = []
     times = np.asarray(traj.series["t"])
     for t in traj.checkpoint_times:
-        idx = np.nonzero(np.abs(times - t) <= 1e-12 * max(1.0, abs(t)))[0]
+        idx = np.nonzero(at_checkpoint(times, t))[0]
         if idx.size == 0:
             raise ArchiveError(f"{traj.run_id}: checkpoint t={t} missing from series")
         sel.append(int(idx[0]))

@@ -25,6 +25,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from .archive import load_archive, series_csv, snapshot_csv, write_archive
@@ -87,7 +88,7 @@ def cmd_run(args) -> int:
     out = _resolve_dir(args.out, config.out_dir)
     lab = build_lab(config)
     results, errors = execute_runs(config, lab, jobs=args.jobs)
-    write_archive(out, config, lab.k, results, run_errors=errors)
+    write_archive(out, replace(config, k=lab.k), results, run_errors=errors)
     print(f"archived {len(results)} runs to {out}")
     for run_id, error in errors.items():
         print(f"run {run_id} failed: {error}", file=sys.stderr)
@@ -240,7 +241,7 @@ def cmd_selfcheck(_args) -> int:
             if errors:
                 print(f"selfcheck: run failed: {errors}", file=sys.stderr)
                 return 3
-            write_archive(directory, config, lab.k, results)
+            write_archive(directory, replace(config, k=lab.k), results)
 
         import json
         manifests = [json.loads((d / "manifest.json").read_text())

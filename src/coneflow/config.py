@@ -41,11 +41,20 @@ semicolons because the entries themselves contain commas.  Unknown sections
 and keys are rejected with their line number, as is any value that fails
 validation.  ``eta`` is the degree of the twist; a nonconstant twist density
 is not expressible in a config file.
+
+``parse_config`` runs every check that needs no built object: syntax and
+types, T below T_max, eps strictly decreasing, j and sigma, a divisor for
+gamma < 1, a positive k for singular data, estimate ids, checkpoints and
+the stepper.  ``build_lab`` builds the surface, divisor and datum once and
+checks, before selecting k, what only they can judge: eps against the
+grid's resolvability floor, the divisor points, the datum parameters and
+the flow parameters.  Its failures carry the same ``line N:`` prefix.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -93,6 +102,9 @@ class RunConfig:
     checkpoints: list
     verify: list             # (estimate_id, params) pairs
     out_dir: str | None = None
+    # (section, key or None) -> line in the parsed text, for the checks
+    # build_lab runs; not part of the description, so never compared
+    lines: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def divisor_degree(self) -> int:
@@ -112,6 +124,11 @@ class RunConfig:
 
 def _fail(lineno, msg):
     raise ConfigurationError(f"line {lineno}: {msg}")
+
+
+def _lineno(lines: dict, section: str, key=None) -> int:
+    """Line of [section] key, else of the section header, else 0."""
+    return lines.get((section, key), lines.get((section, None), 0))
 
 
 def _scan_sections(text: str) -> tuple[dict, dict]:
@@ -155,7 +172,7 @@ class _Section:
         self.seen = set()
 
     def lineno(self, key=None):
-        return self.lines.get((self.name, key), self.lines.get((self.name, None), 0))
+        return _lineno(self.lines, self.name, key)
 
     def get(self, key, conv, default=None, required=False):
         self.seen.add(key)
@@ -225,10 +242,10 @@ def _calls(text: str) -> list:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate one experiment description.
+    """Parse and validate one experiment description.
 
     The first violation is reported with its line number; later errors are
-    not collected.
+    not collected.  Checks that need the built surface run in ``build_lab``.
     """
     raw, lines = _scan_sections(text)
     for name in ("surface", "flow"):
@@ -329,63 +346,18 @@ def parse_config(text: str) -> RunConfig:
         T=T, eta_degree=eta_degree, initial_kind=initial_kind,
         initial_params=initial_params, j_list=j_list, sigma=sigma,
         control=control, checkpoints=checkpoints, verify=verify,
-        out_dir=out_dir)
-    _validate_geometry(config, sec, lines)
-    return config
-
-
-def _validate_geometry(config: RunConfig, sec, lines) -> None:
-    """Cross-field checks that need the actual surface."""
-    try:
-        surface = build_surface(config.surface_kind, config.resolution,
-                                config.volume)
-    except ConfigurationError as exc:
-        _fail(sec["surface"].lineno(), str(exc))
-
-    tmax = config.tmax
-    if not config.T < tmax:
-        _fail(sec["flow"].lineno("t"),
-              f"horizon T={config.T} must stay below T_max={tmax}")
-
-    floor = resolvability_floor(surface)
-    for eps in config.eps_list:
-        if eps < floor:
-            _fail(sec["flow"].lineno("eps"),
-                  f"eps={eps} is below the resolvability floor "
-                  f"{floor:.6g} of an N={config.resolution} grid")
-
-    divisor = None
-    if config.divisor_points:
-        try:
-            divisor = divisor_section(surface, config.divisor_points)
-        except (ConfigurationError, ValueError) as exc:
-            _fail(sec["divisor"].lineno("points"), str(exc))
-    if config.gamma < 1.0 and divisor is None:
-        _fail(sec["flow"].lineno("gamma"),
+        out_dir=out_dir, lines=lines)
+    if not T < config.tmax:
+        _fail(f.lineno("t"),
+              f"horizon T={T} must stay below T_max={config.tmax}")
+    if gamma < 1.0 and not divisor_points:
+        _fail(f.lineno("gamma"),
               "gamma < 1 needs a divisor section with at least one point")
-
-    # dry-build the datum so bad initial parameters fail here, with a line
-    try:
-        make_initial(surface, divisor, config.initial_kind,
-                     dict(config.initial_params))
-    except (ConfigurationError, ValueError) as exc:
-        _fail(sec["initial"].lineno("kind"), str(exc))
-
-    # select_k runs in build_lab only; an automatic k is positive unless
-    # gamma = 1 with no divisor, so any positive stand-in validates alike
-    k = config.k
-    if k is None:
-        k = 0.0 if config.gamma == 1.0 and divisor is None else 1.0
-    try:
-        for eps in config.eps_list:
-            FlowParams(gamma=config.gamma, epsilon=eps, k=k, T=config.T,
-                       eta_degree=config.eta_degree)
-    except ConfigurationError as exc:
-        _fail(sec["flow"].lineno(), str(exc))
-    if config.initial_kind in (DatumKind.ZERO_LELONG_UNBOUNDED,
-                               DatumKind.LOG_POLE) and k == 0.0:
-        _fail(sec["flow"].lineno("k"),
+    if initial_kind in (DatumKind.ZERO_LELONG_UNBOUNDED,
+                        DatumKind.LOG_POLE) and k == 0.0:
+        _fail(f.lineno("k"),
               "singular initial data needs a positive cone coefficient k")
+    return config
 
 
 class Lab(NamedTuple):
@@ -398,28 +370,57 @@ class Lab(NamedTuple):
     packs: dict              # eps -> BackgroundPack
 
 
+@contextmanager
+def _reported_at(config: RunConfig, section: str, key=None,
+                 errors=ConfigurationError):
+    """Report a failure of the block at the config line of [section] key."""
+    try:
+        yield
+    except errors as exc:
+        _fail(_lineno(config.lines, section, key), str(exc))
+
+
 def build_lab(config: RunConfig) -> Lab:
     """Build the surface, divisor, datum, cone coefficient and packs.
 
-    ``k = auto`` runs ``select_k`` here, the only place it runs for a config.
+    The values only a built surface can judge (eps against the grid's
+    resolvability floor, the divisor points, the datum parameters, the flow
+    parameters) are checked before ``k = auto`` runs ``select_k``, the only
+    place it runs for a config, and reported at their config line.
     """
-    surface = build_surface(config.surface_kind, config.resolution,
-                            config.volume)
-    divisor = (divisor_section(surface, config.divisor_points)
-               if config.divisor_points else None)
-    datum = make_initial(surface, divisor, config.initial_kind,
-                         dict(config.initial_params))
+    with _reported_at(config, "surface"):
+        surface = build_surface(config.surface_kind, config.resolution,
+                                config.volume)
+    floor = resolvability_floor(surface)
+    for eps in config.eps_list:
+        if eps < floor:
+            _fail(_lineno(config.lines, "flow", "eps"),
+                  f"eps={eps} is below the resolvability floor "
+                  f"{floor:.6g} of an N={config.resolution} grid")
+    divisor = None
+    if config.divisor_points:
+        with _reported_at(config, "divisor", "points",
+                          (ConfigurationError, ValueError)):
+            divisor = divisor_section(surface, config.divisor_points)
+    with _reported_at(config, "initial", "kind",
+                      (ConfigurationError, ValueError)):
+        datum = make_initial(surface, divisor, config.initial_kind,
+                             dict(config.initial_params))
+
     k = config.k
+    if k is None and config.gamma == 1.0 and divisor is None:
+        k = 0.0
+    # an automatic k is positive, so a positive stand-in validates alike
+    with _reported_at(config, "flow"):
+        params = [FlowParams(gamma=config.gamma, epsilon=eps,
+                             k=1.0 if k is None else k, T=config.T,
+                             eta_degree=config.eta_degree)
+                  for eps in config.eps_list]
     if k is None:
-        k = (0.0 if config.gamma == 1.0 and divisor is None
-             else select_k(surface, divisor, config.gamma, config.eps_list,
-                           path_constant(config.volume, config.slope,
-                                         config.T)))
-    packs = {eps: build_pack(surface, divisor,
-                             FlowParams(gamma=config.gamma, epsilon=eps, k=k,
-                                        T=config.T,
-                                        eta_degree=config.eta_degree))
-             for eps in config.eps_list}
+        k = select_k(surface, divisor, config.gamma, config.eps_list,
+                     path_constant(config.volume, config.slope, config.T))
+        params = [replace(p, k=k) for p in params]
+    packs = {p.epsilon: build_pack(surface, divisor, p) for p in params}
     return Lab(surface, divisor, datum, k, packs)
 
 

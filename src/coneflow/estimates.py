@@ -25,9 +25,9 @@ from .background import BackgroundPack
 from .errors import ConfigurationError
 from .flow import (
     Scheme,
-    StepControl,
     Termination,
     Trajectory,
+    at_checkpoint,
     metric_density_values,
     static_ma_solve,
     time_reparam,
@@ -87,18 +87,11 @@ def truncation_scale(traj: Trajectory) -> float:
     Newton stopping residual per step; the explicit scheme is bounded by its
     embedded error tolerance per accepted step.
     """
-    control = traj.control if traj.control is not None else StepControl()
+    control = traj.control
     steps = traj.snapshots[-1].step_count if traj.snapshots else 0
     per_step = (control.error_tol if control.scheme is Scheme.EXPLICIT_RK2
                 else control.newton_tol)
     return float(steps) * per_step
-
-
-def _checkpoint_index(traj: Trajectory, t0: float) -> int:
-    for i, s in enumerate(traj.snapshots):
-        if abs(s.t - t0) <= 1e-12 * max(1.0, abs(t0)):
-            return i
-    raise ConfigurationError(f"t0={t0} is not a checkpoint of {traj.run_id}")
 
 
 def _same_family(a: Trajectory, b: Trajectory, check_eps: bool = True) -> bool:
@@ -118,7 +111,7 @@ def _same_family(a: Trajectory, b: Trajectory, check_eps: bool = True) -> bool:
 def _same_grid(a: Trajectory, b: Trajectory) -> bool:
     ta, tb = a.checkpoint_times, b.checkpoint_times
     return len(ta) == len(tb) and all(
-        abs(x - y) <= 1e-12 * max(1.0, abs(x)) for x, y in zip(ta, tb))
+        at_checkpoint(y, x) for x, y in zip(ta, tb))
 
 
 def _argmax_node(values: np.ndarray, mask: np.ndarray):
@@ -159,7 +152,7 @@ def _check_barrier(traj: Trajectory, t0: float, sign: float,
     sup of sign*(phi + k chi) rises from its value at t0 by at most
     C (t - t0)."""
     estimate_id = "upper_barrier" if sign > 0 else "lower_barrier"
-    idx = _checkpoint_index(traj, t0)
+    idx = traj.checkpoint_index(t0)
     later = traj.snapshots[idx + 1:]
     if not later:
         raise ConfigurationError(
@@ -239,7 +232,7 @@ def check_hstat(traj: Trajectory, t0: float | None = None,
         derived_margin = min(derived_margin, float(derived[mask].min()))
 
     t0_r = traj.snapshots[0].t if t0 is None else t0
-    idx0 = _checkpoint_index(traj, t0_r)
+    idx0 = traj.checkpoint_index(t0_r)
     t_end = traj.snapshots[-1].t
     remark_margin = np.inf
     if idx0 + 1 < len(traj.snapshots):
@@ -281,7 +274,7 @@ def check_phidot_lower(traj: Trajectory, t0: float, Tprime: float,
     if t0 == 0.0:
         state0 = traj.initial_state
     else:
-        state0 = traj.snapshots[_checkpoint_index(traj, t0)]
+        state0 = traj.state_at(t0)
     tc0 = tc_potential_values(traj, state0)
     osc0 = float(tc0[mask].max() - tc0[mask].min())
     A = 2.0 / (T - Tprime)
@@ -374,7 +367,7 @@ def check_density_ratio(traj: Trajectory, t0: float, rel_drift: float = 0.05,
     C(t0) = sup over [t0, T] of max(R, 1/R) must be finite, and moving t0
     forward may not increase C by more than rel_drift.
     """
-    idx = _checkpoint_index(traj, t0)
+    idx = traj.checkpoint_index(t0)
     mask = scan_mask(traj)
     pack = traj.pack
     cone = pack.omega_cone_eps.values

@@ -95,6 +95,12 @@ class FlowState:
     rejected_steps: int = 0
 
 
+def at_checkpoint(t, checkpoint: float):
+    """Whether a time (or an array of times) is the given checkpoint, up to
+    the rounding that accumulating steps leaves on it."""
+    return abs(t - checkpoint) <= 1e-12 * max(1.0, abs(checkpoint))
+
+
 @dataclass(eq=False)
 class Trajectory:
     run_id: str
@@ -104,19 +110,23 @@ class Trajectory:
     snapshots: list
     series: dict
     termination: Termination
+    control: StepControl
     # nodes dropped from extremum scans (divisor nodes of singular data)
     scan_exclude: np.ndarray | None = None
-    control: StepControl | None = None
 
     @property
     def checkpoint_times(self) -> list:
         return [s.t for s in self.snapshots]
 
+    def checkpoint_index(self, t: float) -> int:
+        """Position in ``snapshots`` of the checkpoint at time t."""
+        for i, s in enumerate(self.snapshots):
+            if at_checkpoint(s.t, t):
+                return i
+        raise ConfigurationError(f"t={t} is not a checkpoint of {self.run_id}")
+
     def state_at(self, t: float) -> FlowState:
-        for s in self.snapshots:
-            if abs(s.t - t) <= 1e-12 * max(1.0, abs(t)):
-                return s
-        raise ConfigurationError(f"no snapshot at t={t}")
+        return self.snapshots[self.checkpoint_index(t)]
 
     def phi_interp(self, t: float) -> np.ndarray:
         """Potential at time t, linear between recorded states."""
@@ -439,7 +449,7 @@ def run_flow(pack: BackgroundPack, j: float, phi_j: ScalarField | np.ndarray,
                 dt_ctrl = float(np.clip(dt * max(factor, 0.3),
                                         control.dt_init, control.dt_max))
             accepted.rejected_steps = rejected_total
-            if abs(accepted.t - target) <= 1e-12 * max(1.0, target):
+            if at_checkpoint(accepted.t, target):
                 accepted.t = target
             state = accepted
             _series_append(series, state, pack, scan)

@@ -1,4 +1,4 @@
-"""Initial potentials, their smooth truncation ladders, and singularity diagnostics.
+"""Initial potentials, the flow-ready truncated levels, and singularity diagnostics.
 
 Four families of initial data are provided:
 
@@ -9,10 +9,10 @@ Four families of initial data are provided:
 * ``log_pole``: ``(c/2) log|s|^2``, a genuine positive-Lelong pole kept as an
   out-of-hypothesis control.
 
-The truncation ladder replaces kernel-based regularization with the soft
-maximum ``phi_j = sigma * logaddexp(phi0/sigma, -j/sigma)``: smooth, strictly
-decreasing to ``phi0`` as j grows, and psh-preserving up to the stencil error
-absorbed by a small background margin.
+A flow at regularization level eps starts from ``flow_level_values``: the
+datum with its section smoothed at scale eps, truncated from below by the
+soft maximum ``phi_j = sigma * logaddexp(phi/sigma, -j/sigma)``, which is
+smooth, at most ``sigma ln 2`` above ``max(phi, -j)`` and decreasing in j.
 
 Diagnostics follow the chart picture at each divisor point: Lelong numbers
 from the slope of circle means against log of the chart radius, and the
@@ -23,11 +23,11 @@ integrability index from a ratio test on dyadic shell quadratures of
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, PositivityError, SolverError
+from .errors import ConfigurationError, PositivityError
 from .surfaces import (
     DivisorData,
     ModelSurface,
@@ -37,9 +37,6 @@ from .surfaces import (
     geodesic_circle,
     sample_bilinear,
 )
-
-#: relative psh slack: the (1+delta) background absorbs soft-max stencil error
-PSH_DELTA = 1e-3
 
 #: sharpness of the soft clamp inside the zero-Lelong profile
 _CLAMP_TAU = 0.5
@@ -75,23 +72,6 @@ class InitialDatum:
     @property
     def lelong_max(self) -> float:
         return max(self.lelong.values(), default=0.0)
-
-
-@dataclass(eq=False)
-class RegularizationLadder:
-    datum: InitialDatum
-    smoothing_width: float
-    levels: list  # of (j, ScalarField)
-
-    @property
-    def j_values(self) -> list:
-        return [j for j, _ in self.levels]
-
-    def level(self, j: float) -> ScalarField:
-        for jj, f in self.levels:
-            if jj == j:
-                return f
-        raise ConfigurationError(f"no ladder level j={j}")
 
 
 def softmax_pair(a: np.ndarray, b: float, sigma: float) -> np.ndarray:
@@ -251,43 +231,6 @@ def make_initial(surface: ModelSurface, divisor: DivisorData | None,
     )
 
 
-def truncation_ladder(datum: InitialDatum, j_list: list, sigma: float = 0.25
-                      ) -> RegularizationLadder:
-    """Smooth decreasing ladder phi_j = softmax_sigma(phi0, -j).
-
-    Levels are finite everywhere (the clamp replaces the singular values),
-    decrease pointwise in j, and stay psh within the stencil tolerance.
-    """
-    if sigma <= 0.0:
-        raise ConfigurationError("sigma must be positive")
-    js = list(j_list)
-    if not js or any(b <= a for a, b in zip(js, js[1:])) or js[0] <= 0:
-        raise ConfigurationError("j_list must be strictly increasing and positive")
-
-    phi0 = datum.phi0.values
-    mask = datum.phi0.singular_mask
-    levels = []
-    prev = None
-    for j in js:
-        vals = softmax_pair(phi0, -float(j), sigma)
-        if not np.isfinite(vals).all():
-            raise SolverError(f"ladder level j={j} produced non-finite values")
-        if prev is not None and np.any(vals > prev + 1e-9):
-            worst = float((vals - prev).max())
-            raise SolverError(f"ladder monotonicity violated by {worst:.3e} at j={j}")
-        absolute, relative = psh_margins(datum.surface, vals, mask,
-                                         datum.psh_exclusion)
-        if relative < -(PSH_DELTA + 1e-6):
-            # levels only need to be (1+delta)omega-psh: the soft maximum is
-            # exactly psh in the continuum, the slack covers the stencil
-            raise PositivityError(
-                f"ladder level j={j} lost psh admissibility (margin {relative:.3e})"
-            )
-        levels.append((float(j), ScalarField(datum.surface, vals, tag=f"phi_j[{j:g}]")))
-        prev = vals
-    return RegularizationLadder(datum=datum, smoothing_width=sigma, levels=levels)
-
-
 def smoothed_datum_values(datum: InitialDatum, epsilon: float) -> np.ndarray:
     """Datum re-evaluated through the regularized section, |s|^2 -> eps^2+|s|^2.
 
@@ -319,6 +262,8 @@ def flow_level_values(datum: InitialDatum, epsilon: float,
                       j: float | None = None,
                       sigma: float = 0.25) -> ScalarField:
     """Flow-ready initial level: eps-smoothed datum, optionally j-truncated."""
+    if sigma <= 0.0:
+        raise ConfigurationError("sigma must be positive")
     vals = smoothed_datum_values(datum, epsilon)
     tag = f"phi_j[{datum.kind.value}, eps={epsilon:g}"
     if j is not None:

@@ -1,9 +1,12 @@
 """Archive format: frame roundtrips, integrity hashing, CSV export."""
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coneflow import archive
 from coneflow.archive import (check_integrity, load_archive, read_frames,
                               save_run, load_run, series_csv, snapshot_csv,
                               write_archive, write_frames)
@@ -38,8 +41,9 @@ def archived(tmp_path_factory):
     lab = build_lab(config)
     results, errors = execute_runs(config, lab)
     assert errors == {}
+    config = dataclasses.replace(config, k=lab.k)
     directory = tmp_path_factory.mktemp("arc") / "family"
-    write_archive(directory, config, lab.k, results)
+    write_archive(directory, config, results)
     return config, results, directory
 
 
@@ -89,7 +93,7 @@ class TestRunRoundtrip:
         original = torus_lab["runs"]["heat"]
         save_run(tmp_path, original)
         loaded = load_run(tmp_path / f"run_{original.run_id}.ckrf",
-                          original.pack)
+                          {original.pack.params.epsilon: original.pack})
         assert loaded.run_id == original.run_id
         assert loaded.j == original.j
         assert loaded.termination is original.termination
@@ -109,7 +113,8 @@ class TestRunRoundtrip:
         original = sphere_lab["lp_runs"][0]  # eps = 0.2
         save_run(tmp_path, original)
         loaded = load_run(tmp_path / f"run_{original.run_id}.ckrf",
-                          original.pack)
+                          sphere_lab["packs"])
+        assert loaded.pack is original.pack
         assert loaded.scan_exclude is not None
         assert loaded.scan_exclude.dtype == bool
         assert np.array_equal(loaded.scan_exclude, original.scan_exclude)
@@ -119,14 +124,14 @@ class TestRunRoundtrip:
         save_run(tmp_path, traj)
         with pytest.raises(ArchiveError, match="does not match"):
             load_run(tmp_path / f"run_{traj.run_id}.ckrf",
-                     sphere_lab["packs"][0.1])
+                     {0.1: sphere_lab["packs"][0.1]})
 
 
 class TestArchiveRoundtrip:
     def test_layout_and_manifest(self, archived):
         _config, results, directory = archived
         names = sorted(p.name for p in directory.iterdir())
-        assert names == ["config.txt", "manifest.json", "pack.ckrf",
+        assert names == ["config.txt", "manifest.json",
                          "run_e0.1.ckrf", "run_e0.2.ckrf"]
         manifest = json.loads((directory / "manifest.json").read_text())
         assert manifest["complete"] is True
@@ -134,6 +139,30 @@ class TestArchiveRoundtrip:
         assert set(manifest["files"]) == {n for n in names
                                           if n != "manifest.json"}
         assert check_integrity(directory) == []
+
+    def test_config_records_k_and_run_files_are_read_once(
+            self, archived, monkeypatch):
+        config, _results, directory = archived
+        assert f"k = {config.k!r}\n" in (directory / "config.txt").read_text()
+        read = []
+        real = archive.read_frames
+        monkeypatch.setattr(
+            archive, "read_frames",
+            lambda path: read.append(Path(path).name) or real(path))
+        load_archive(directory)
+        assert sorted(read) == ["run_e0.1.ckrf", "run_e0.2.ckrf"]
+
+    def test_auto_k_config_still_loads(self, archived, tmp_path):
+        config, results, _directory = archived
+        d = tmp_path / "auto"
+        write_archive(d, dataclasses.replace(config, k=None), results)
+        assert "k = auto\n" in (d / "config.txt").read_text()
+        arc = load_archive(d)
+        assert arc.lab.k == config.k
+        for traj in results:
+            loaded = arc.trajectories[traj.run_id]
+            assert np.array_equal(loaded.snapshots[-1].phi.values,
+                                  traj.snapshots[-1].phi.values)
 
     def test_loaded_trajectories_match_bitwise(self, archived):
         config, results, directory = archived
@@ -153,7 +182,7 @@ class TestArchiveRoundtrip:
         twins = []
         for name in ("a", "b"):
             d = tmp_path / name
-            write_archive(d, config, results[0].pack.params.k, results)
+            write_archive(d, config, results)
             twins.append(json.loads((d / "manifest.json").read_text()))
         assert twins[0]["files"] == twins[1]["files"]
         assert twins[0]["created"] != "" and twins[1]["created"] != ""
@@ -161,7 +190,7 @@ class TestArchiveRoundtrip:
     def test_corrupted_run_fails_integrity(self, archived, tmp_path):
         config, results, _directory = archived
         d = tmp_path / "corrupt"
-        write_archive(d, config, results[0].pack.params.k, results)
+        write_archive(d, config, results)
         target = d / "run_e0.2.ckrf"
         blob = bytearray(target.read_bytes())
         blob[100] ^= 0xFF
@@ -174,7 +203,7 @@ class TestArchiveRoundtrip:
     def test_incomplete_archive_refuses_to_load(self, archived, tmp_path):
         config, results, _directory = archived
         d = tmp_path / "partial"
-        write_archive(d, config, results[0].pack.params.k, results,
+        write_archive(d, config, results,
                       complete=False)
         assert any("incomplete" in p for p in check_integrity(d))
         with pytest.raises(ArchiveError, match="incomplete"):
@@ -183,7 +212,7 @@ class TestArchiveRoundtrip:
     def test_failed_runs_recorded_and_flagged(self, archived, tmp_path):
         config, results, _directory = archived
         d = tmp_path / "failed"
-        write_archive(d, config, results[0].pack.params.k, results[:1],
+        write_archive(d, config, results[:1],
                       run_errors={"e0.1": "PositivityError: lost at node"})
         manifest = json.loads((d / "manifest.json").read_text())
         assert manifest["runs"]["e0.1"]["status"] == "failed"

@@ -1,8 +1,14 @@
 """Command-line interface: subcommands, exit codes, output layout."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coneflow
+import coneflow.config
 from coneflow.cli import main
 
 TORUS_CFG = """\
@@ -79,6 +85,18 @@ class TestTmax:
         assert main(["tmax", "--config", torus_cfg.as_posix()]) == 0
         assert "T_max = inf" in capsys.readouterr().out
 
+    def test_module_entry_point_runs_without_warning(self, torus_cfg):
+        src = Path(coneflow.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coneflow.cli", "tmax",
+             "--config", str(torus_cfg)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "T_max = inf" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
+
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert main(["tmax", "--config", str(tmp_path / "absent.cfg")]) == 2
 
@@ -92,8 +110,19 @@ class TestTmax:
 class TestRun:
     def test_writes_expected_archive(self, torus_archive):
         names = sorted(p.name for p in torus_archive.iterdir())
-        assert names == ["config.txt", "manifest.json", "pack.ckrf",
+        assert names == ["config.txt", "manifest.json",
                          "run_e0.05.ckrf", "run_e0.1.ckrf", "run_e0.2.ckrf"]
+
+    def test_config_is_built_once(self, torus_cfg, tmp_path, monkeypatch):
+        calls = []
+        for name in ("build_surface", "make_initial"):
+            real = getattr(coneflow.config, name)
+            monkeypatch.setattr(coneflow.config, name,
+                                lambda *a, _n=name, _f=real, **kw:
+                                calls.append(_n) or _f(*a, **kw))
+        assert main(["run", "--config", str(torus_cfg),
+                     "--out", str(tmp_path / "arc")]) == 0
+        assert sorted(calls) == ["build_surface", "make_initial"]
 
     def test_repeat_run_is_deterministic(self, torus_cfg, tmp_path):
         manifests = []

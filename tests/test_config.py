@@ -58,6 +58,15 @@ def expect_error(text, *needles):
         assert needle in str(err.value), str(err.value)
 
 
+def expect_build_error(text, *needles):
+    """A config that parses but fails in build_lab, at its config line."""
+    config = parse_config(text)
+    with pytest.raises(ConfigurationError) as err:
+        build_lab(config)
+    for needle in needles:
+        assert needle in str(err.value), str(err.value)
+
+
 class TestDefaults:
     def test_minimal_torus_fills_defaults(self):
         cfg = parse_config(MINIMAL_TORUS)
@@ -154,8 +163,8 @@ class TestValidation:
 
     def test_eps_below_resolvability_floor(self):
         # torus N=16 resolves nothing finer than 2*(1/16)^2
-        expect_error(MINIMAL_TORUS.replace("eps = 0.2", "eps = 0.001"),
-                     "line 8", "resolvability floor", "0.0078125")
+        expect_build_error(MINIMAL_TORUS.replace("eps = 0.2", "eps = 0.001"),
+                           "line 8", "resolvability floor", "0.0078125")
 
     def test_eps_must_strictly_decrease(self):
         expect_error(SPHERE.replace("eps = 0.2, 0.1", "eps = 0.1, 0.2"),
@@ -186,7 +195,12 @@ class TestValidation:
                      "unknown initial kind")
 
     def test_bad_datum_parameters_report_initial_line(self):
-        expect_error(SPHERE.replace("alpha=0.5", "alpha=1.5"), "line 15")
+        expect_build_error(SPHERE.replace("alpha=0.5", "alpha=1.5"),
+                           "line 15")
+
+    def test_flow_parameters_report_flow_section_line(self):
+        text = MINIMAL_TORUS.replace("t = 0.25", "t = 0.25\nk = -1.0")
+        expect_build_error(text, "line 6", "k must be nonnegative")
 
     def test_point_needs_two_coordinates(self):
         expect_error(SPHERE.replace("points = 1.5707963267948966, 0.0",

@@ -1,4 +1,4 @@
-"""Initial data catalog, truncation ladder, and singularity diagnostics."""
+"""Initial data catalog, truncated flow levels, and singularity diagnostics."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,13 @@ from coneflow.initial_data import (
     DatumKind,
     InitialDatum,
     _chart_radii,
+    flow_level_values,
     integrability_index,
     lelong_estimate,
     make_initial,
     psh_margins,
+    smoothed_datum_values,
     softmax_pair,
-    truncation_ladder,
 )
 from coneflow.surfaces import SurfaceKind, build_surface, divisor_section
 
@@ -141,20 +142,24 @@ def test_oversized_smooth_amplitude_rejected(sphere, divisor):
 
 
 # ---------------------------------------------------------------------------
-# truncation ladder
+# truncated flow levels
+
+#: a flown regularization level (above the N=64 resolvability floor)
+EPS = 0.1
+#: small enough that the smoothed log pole lies far below every level
+POLE_EPS = 1e-60
 
 
 def test_ladder_monotone_and_bounded(zero_lelong):
     sigma = 0.25
-    ladder = truncation_ladder(zero_lelong, [2.0, 4.0, 8.0, 16.0], sigma=sigma)
-    phi0 = zero_lelong.phi0.values
-    sup0 = phi0[np.isfinite(phi0)].max()
+    smoothed = smoothed_datum_values(zero_lelong, EPS)
+    sup0 = smoothed.max()
     prev = None
-    for j, level in ladder.levels:
-        vals = level.values
+    for j in (2.0, 4.0, 8.0, 16.0):
+        vals = flow_level_values(zero_lelong, EPS, j, sigma).values
         assert np.isfinite(vals).all()
         # soft maximum dominates the hard maximum exactly...
-        assert np.all(vals >= np.maximum(phi0, -j) - 1e-12)
+        assert np.all(vals >= np.maximum(smoothed, -j) - 1e-12)
         # ...and exceeds it by at most sigma ln 2
         assert vals.max() <= max(sup0, -j) + sigma * LN2 + 1e-12
         assert vals.min() >= -j - 1e-12
@@ -163,37 +168,32 @@ def test_ladder_monotone_and_bounded(zero_lelong):
         prev = vals
 
 
-def test_ladder_clamps_singular_node(zero_lelong, divisor):
-    ladder = truncation_ladder(zero_lelong, [2.0, 8.0], sigma=0.25)
-    pt = divisor.points[0]
-    for j, level in ladder.levels:
+def test_ladder_clamps_singular_node(log_pole):
+    pt = log_pole.divisor.points[0]
+    for j in (2.0, 8.0):
+        level = flow_level_values(log_pole, POLE_EPS, j, 0.25)
         assert level.values[pt] == pytest.approx(-j, abs=1e-12)
 
 
 def test_ladder_gap_shrinks_with_j(log_pole):
-    # off the pole the levels converge to phi0, so consecutive gaps shrink;
-    # at the pole itself they must keep descending to -inf instead
-    ladder = truncation_ladder(log_pole, [2.0, 4.0, 8.0], sigma=0.25)
+    # off the pole the levels converge to the smoothed datum, so consecutive
+    # gaps shrink; at the pole itself they must keep descending instead
+    levels = [flow_level_values(log_pole, POLE_EPS, j, 0.25).values
+              for j in (2.0, 4.0, 8.0)]
     finite = np.isfinite(log_pole.phi0.values)
-    gaps = []
-    for (_, a), (_, b) in zip(ladder.levels, ladder.levels[1:]):
-        gaps.append(float(np.abs(a.values - b.values)[finite].max()))
+    gaps = [float(np.abs(a - b)[finite].max())
+            for a, b in zip(levels, levels[1:])]
     assert gaps[1] < gaps[0]
     pt = log_pole.divisor.points[0]
-    node_vals = [lvl.values[pt] for _, lvl in ladder.levels]
-    assert node_vals == pytest.approx([-2.0, -4.0, -8.0], abs=1e-12)
+    assert [vals[pt] for vals in levels] == pytest.approx([-2.0, -4.0, -8.0],
+                                                          abs=1e-12)
 
 
 def test_ladder_level_lookup_and_validation(zero_lelong):
-    ladder = truncation_ladder(zero_lelong, [2.0, 4.0], sigma=0.25)
-    assert ladder.j_values == [2.0, 4.0]
-    assert ladder.level(4.0).values.min() >= -4.0 - 1e-12
+    level = flow_level_values(zero_lelong, EPS, 4.0)
+    assert level.values.min() >= -4.0 - 1e-12
     with pytest.raises(ConfigurationError):
-        ladder.level(3.0)
-    with pytest.raises(ConfigurationError):
-        truncation_ladder(zero_lelong, [4.0, 2.0], sigma=0.25)
-    with pytest.raises(ConfigurationError):
-        truncation_ladder(zero_lelong, [2.0], sigma=0.0)
+        flow_level_values(zero_lelong, EPS, 2.0, sigma=0.0)
 
 
 @settings(max_examples=60, deadline=None)
