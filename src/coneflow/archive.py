@@ -27,8 +27,8 @@ import numpy as np
 
 from .config import Lab, RunConfig, build_lab, emit_config, parse_config
 from .errors import ArchiveError
-from .flow import (FlowState, Scheme, StepControl, Termination, Trajectory,
-                   SERIES_COLUMNS, at_checkpoint)
+from .flow import (CONTROL_FIELDS, FlowState, Scheme, StepControl,
+                   Termination, Trajectory, SERIES_COLUMNS, at_checkpoint)
 from .surfaces import ScalarField
 
 MAGIC = b"CKRF1"
@@ -126,9 +126,9 @@ def save_run(directory, traj: Trajectory) -> str:
         ("termination", traj.termination.value),
         ("scheme", control.scheme.value),
     ]
-    for key in ("dt_init", "dt_min", "dt_max", "safety", "error_tol", "newton_tol"):
-        frames.append((f"control/{key}", float(getattr(control, key))))
-    frames.append(("control/max_newton_iters", int(control.max_newton_iters)))
+    for fld in CONTROL_FIELDS:
+        cast = type(fld.default)
+        frames.append((f"control/{fld.name}", cast(getattr(control, fld.name))))
     frames.append(("has_scan_exclude", traj.scan_exclude is not None))
     if traj.scan_exclude is not None:
         frames.append(("scan_exclude", traj.scan_exclude))
@@ -163,14 +163,8 @@ def load_run(path, packs: dict) -> Trajectory:
             f"any pack eps {sorted(packs)}")
     control = StepControl(
         scheme=Scheme(fr["scheme"]),
-        dt_init=float(fr["control/dt_init"]),
-        dt_min=float(fr["control/dt_min"]),
-        dt_max=float(fr["control/dt_max"]),
-        safety=float(fr["control/safety"]),
-        error_tol=float(fr["control/error_tol"]),
-        newton_tol=float(fr["control/newton_tol"]),
-        max_newton_iters=int(fr["control/max_newton_iters"]),
-    )
+        **{fld.name: type(fld.default)(fr[f"control/{fld.name}"])
+           for fld in CONTROL_FIELDS})
     scan = fr["scan_exclude"].astype(bool) if fr["has_scan_exclude"] else None
     states = []
     for i in range(int(fr["n_states"])):

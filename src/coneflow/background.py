@@ -18,7 +18,7 @@ potential equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ TWO_PI = 2.0 * np.pi
 #: nodes of the fixed Gauss-Legendre rule used by the chi quadrature
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
-#: number of path samples used for positivity and sandwich certification
+#: number of path samples used for positivity certification
 _PATH_SAMPLES = 33
 
 
@@ -59,7 +59,6 @@ class FlowParams:
     k: float
     T: float
     eta_degree: float = 0.0
-    eta_density: np.ndarray | None = None
 
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
@@ -81,17 +80,22 @@ class ConeMetric(NamedTuple):
     bad_nodes: list
 
 
+def class_slope(c1_degree: float, divisor_degree: int, gamma: float,
+                eta_degree: float) -> float:
+    """Rate ``-c1 + (1-gamma)*m + e`` at which the evolved class gains volume."""
+    return -c1_degree + (1.0 - gamma) * divisor_degree + eta_degree
+
+
 def compute_tmax(volume: float, c1_degree: float, divisor_degree: int,
                  gamma: float, eta_degree: float) -> float:
     """Maximal existence time of the twisted conical flow.
 
-    The evolved class has volume ``V + t*slope`` with
-    ``slope = -c1 + (1-gamma)*m + e``; the flow lives while that stays
-    positive.
+    The evolved class has volume ``V + t*slope`` (see ``class_slope``); the
+    flow lives while that stays positive.
     """
     if volume <= 0.0:
         raise ConfigurationError(f"volume must be positive, got {volume}")
-    slope = -c1_degree + (1.0 - gamma) * divisor_degree + eta_degree
+    slope = class_slope(c1_degree, divisor_degree, gamma, eta_degree)
     if slope >= 0.0:
         return np.inf
     return volume / (-slope)
@@ -119,9 +123,10 @@ def calabi_volume_form(surface: ModelSurface, target_ricci: np.ndarray
     to total volume V.
     """
     total = integrate(surface, target_ricci)
-    if abs(total - surface.c1_degree) > 1e-8 * max(1.0, abs(surface.c1_degree)):
+    c1 = surface.kind.c1_degree
+    if abs(total - c1) > 1e-8 * max(1.0, abs(c1)):
         raise CompatibilityError(
-            f"target Ricci integral {total:.10f} != degree {surface.c1_degree}"
+            f"target Ricci integral {total:.10f} != degree {c1}"
         )
     deficit = TWO_PI * (target_ricci - surface.ricci_background)
     v = ddbar_solve_values(surface, deficit)
@@ -244,20 +249,11 @@ class BackgroundPack:
     params: FlowParams
     tmax: float
     slope: float
-    kappa: np.ndarray
     nu_gamma: ScalarField
     h_gamma: ScalarField
-    omega_density: ScalarField
     chi: ScalarField
     omega_cone_eps: ScalarField
     F_eps: ScalarField
-    equivalence_constant: float
-    sup_F: float
-    sup_chi: float
-
-    def omega_path(self, t: float) -> np.ndarray:
-        """Density of the reference path omega + t*nu."""
-        return self.surface.area_weight + t * self.nu_gamma.values
 
     def omega_path_eps(self, t: float) -> np.ndarray:
         """Density of the mixed path: cone metric plus t*nu."""
@@ -278,12 +274,13 @@ def build_pack(surface: ModelSurface, divisor: DivisorData | None,
     if divisor is None and params.gamma < 1.0 and params.k > 0.0:
         raise ConfigurationError("conical parameters require a divisor")
 
-    tmax = compute_tmax(volume, surface.c1_degree, m, params.gamma, params.eta_degree)
+    c1 = surface.kind.c1_degree
+    tmax = compute_tmax(volume, c1, m, params.gamma, params.eta_degree)
     if not params.T < tmax:
         raise ConfigurationError(
             f"horizon T={params.T} must stay below T_max={tmax}"
         )
-    slope = -surface.c1_degree + (1.0 - params.gamma) * m + params.eta_degree
+    slope = class_slope(c1, m, params.gamma, params.eta_degree)
 
     kappa = w * (volume + params.T * slope) / volume
     if kappa_perturbation is not None:
@@ -296,18 +293,11 @@ def build_pack(surface: ModelSurface, divisor: DivisorData | None,
         nodes = [tuple(ij) for ij in np.argwhere(kappa <= 0.0)[:8]]
         raise PositivityError("endpoint representative not positive", nodes=nodes)
     nu = (kappa - w) / params.T
-
-    if params.eta_density is not None:
-        eta = np.asarray(params.eta_density, dtype=float)
-        drift = integrate(surface, eta) - params.eta_degree
-        if abs(drift) > 1e-8 * max(1.0, abs(params.eta_degree)):
-            raise CompatibilityError(f"eta density misses its degree by {drift:.3e}")
-    else:
-        eta = params.eta_degree * w / volume
+    eta = params.eta_degree * w / volume
 
     theta = divisor.theta_density if divisor is not None else np.zeros(surface.shape)
     target = -nu + (1.0 - params.gamma) * theta + eta
-    h_gamma, omega_density = calabi_volume_form(surface, target)
+    h_gamma, _ = calabi_volume_form(surface, target)
 
     cone = cgp_metric(surface, divisor, params.gamma, params.epsilon, params.k)
     if not cone.valid:
@@ -320,10 +310,8 @@ def build_pack(surface: ModelSurface, divisor: DivisorData | None,
     if divisor is not None:
         F = F + (1.0 - params.gamma) * np.log(params.epsilon**2 + divisor.s_h_sq)
 
-    # certify path positivity and the sandwich on a fixed time grid
-    t_grid = np.linspace(0.0, params.T, _PATH_SAMPLES)
-    equiv = 1.0
-    for t in t_grid:
+    # certify path positivity on a fixed time grid
+    for t in np.linspace(0.0, params.T, _PATH_SAMPLES):
         path = cone.density + t * nu
         if np.any(path <= 0.0):
             nodes = [tuple(ij) for ij in np.argwhere(path <= 0.0)[:8]]
@@ -332,8 +320,6 @@ def build_pack(surface: ModelSurface, divisor: DivisorData | None,
         if np.any(base <= 0.0):
             nodes = [tuple(ij) for ij in np.argwhere(base <= 0.0)[:8]]
             raise PositivityError(f"reference path loses positivity at t={t:.4f}", nodes=nodes)
-        ratio = path / cone.density
-        equiv = max(equiv, ratio.max(), 1.0 / ratio.min())
 
     return BackgroundPack(
         surface=surface,
@@ -341,14 +327,9 @@ def build_pack(surface: ModelSurface, divisor: DivisorData | None,
         params=params,
         tmax=tmax,
         slope=slope,
-        kappa=kappa,
         nu_gamma=ScalarField(surface, nu, tag="nu"),
         h_gamma=h_gamma,
-        omega_density=omega_density,
         chi=ScalarField(surface, cone.chi, tag="chi"),
         omega_cone_eps=ScalarField(surface, cone.density, tag="omega_cone"),
         F_eps=ScalarField(surface, F, tag="F"),
-        equivalence_constant=float(equiv),
-        sup_F=float(np.abs(F).max()),
-        sup_chi=float(cone.chi.max()),
     )

@@ -97,7 +97,7 @@ def cmd_run(args) -> int:
 
 def cmd_tmax(args) -> int:
     config = parse_config(Path(args.config).read_text())
-    c1 = 0.0 if config.surface_kind.value == "torus" else 2.0
+    c1 = config.surface_kind.c1_degree
     m = config.divisor_degree
     print(f"V = {config.volume!r}")
     print(f"slope = -c1 + (1-gamma)*m + e = -{c1!r} + "

@@ -39,8 +39,8 @@ Comments run from ``#`` to end of line.  Scalar lists are comma separated;
 structured lists (divisor points, verify estimates) separate entries with
 semicolons because the entries themselves contain commas.  Unknown sections
 and keys are rejected with their line number, as is any value that fails
-validation.  ``eta`` is the degree of the twist; a nonconstant twist density
-is not expressible in a config file.
+validation.  ``eta`` is the degree of the twist, spread as the constant
+multiple ``eta / V`` of the background area form.
 
 ``parse_config`` runs every check that needs no built object: syntax and
 types, T below T_max, eps strictly decreasing, j and sigma, a divisor for
@@ -59,11 +59,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .background import (FlowParams, build_pack, compute_tmax, path_constant,
-                         resolvability_floor, select_k)
+from .background import (FlowParams, build_pack, class_slope, compute_tmax,
+                         path_constant, resolvability_floor, select_k)
 from .errors import ConfigurationError
 from .estimates import ESTIMATES
-from .flow import Scheme, StepControl
+from .flow import CONTROL_FIELDS, Scheme, StepControl
 from .initial_data import DatumKind, InitialDatum, make_initial
 from .surfaces import (DivisorData, ModelSurface, SurfaceKind, build_surface,
                        divisor_section)
@@ -112,14 +112,13 @@ class RunConfig:
 
     @property
     def slope(self) -> float:
-        c1 = 0.0 if self.surface_kind is SurfaceKind.TORUS else 2.0
-        return -c1 + (1.0 - self.gamma) * self.divisor_degree + self.eta_degree
+        return class_slope(self.surface_kind.c1_degree, self.divisor_degree,
+                           self.gamma, self.eta_degree)
 
     @property
     def tmax(self) -> float:
-        c1 = 0.0 if self.surface_kind is SurfaceKind.TORUS else 2.0
-        return compute_tmax(self.volume, c1, self.divisor_degree, self.gamma,
-                            self.eta_degree)
+        return compute_tmax(self.volume, self.surface_kind.c1_degree,
+                            self.divisor_degree, self.gamma, self.eta_degree)
 
 
 def _fail(lineno, msg):
@@ -308,12 +307,10 @@ def parse_config(text: str) -> RunConfig:
         scheme = Scheme(scheme_name)
     except ValueError:
         _fail(st.lineno("scheme"), f"unknown scheme {scheme_name!r}")
-    defaults = StepControl()
     kwargs = {"scheme": scheme}
-    for key in ("dt_init", "dt_min", "dt_max", "safety", "error_tol", "newton_tol"):
-        kwargs[key] = st.get(key, _float, default=getattr(defaults, key))
-    kwargs["max_newton_iters"] = st.get("max_newton_iters", _int,
-                                        default=defaults.max_newton_iters)
+    for fld in CONTROL_FIELDS:
+        conv = _int if isinstance(fld.default, int) else _float
+        kwargs[fld.name] = st.get(fld.name, conv, default=fld.default)
     st.reject_unknown()
     try:
         control = StepControl(**kwargs)
@@ -459,9 +456,8 @@ def emit_config(config: RunConfig) -> str:
         "[stepper]",
         f"scheme = {config.control.scheme.value}",
     ]
-    for key in ("dt_init", "dt_min", "dt_max", "safety", "error_tol",
-                "newton_tol", "max_newton_iters"):
-        out.append(f"{key} = {_fmt(getattr(config.control, key))}")
+    for fld in CONTROL_FIELDS:
+        out.append(f"{fld.name} = {_fmt(getattr(config.control, fld.name))}")
     out += [
         "",
         "[checkpoints]",

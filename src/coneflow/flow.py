@@ -25,7 +25,7 @@ long-time certificates live here as well.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,6 +83,11 @@ class StepControl:
             raise ConfigurationError("tolerances must be positive")
         if self.max_newton_iters < 1:
             raise ConfigurationError("need at least one Newton iteration")
+
+
+#: the numeric StepControl fields, in declaration order; the type of each
+#: default (float or int) is the type a config value or archive frame takes
+CONTROL_FIELDS = tuple(f for f in fields(StepControl) if f.name != "scheme")
 
 
 @dataclass(eq=False)
@@ -169,32 +174,6 @@ def flow_rhs_values(pack: BackgroundPack, t: float, phi_values: np.ndarray,
             nodes=[tuple(ix) for ix in bad[:8]],
         )
     return np.log(density / pack.omega_cone_eps.values) + pack.F_eps.values
-
-
-def flow_rhs_unreduced_values(pack: BackgroundPack, t: float,
-                              phi_values: np.ndarray) -> np.ndarray:
-    """Same velocity through the untransformed equation, for cross-checks.
-
-    Shifting by k*chi moves the cone factor out of the background and into
-    an explicit weight; agreement with ``flow_rhs_values`` to ~1e-12 is an
-    identity, not a convergence statement.  Evaluated in extended precision
-    so the comparison sees the algebraic identity, not the rounding of the
-    second differences against the tiny pole-row densities.
-    """
-    params = pack.params
-    ld = np.longdouble
-    total = phi_values.astype(ld) + ld(params.k) * pack.chi.values.astype(ld)
-    density = (pack.surface.area_weight.astype(ld)
-               + ld(t) * pack.nu_gamma.values.astype(ld)
-               + ddbar_density_values(pack.surface, total))
-    if density.min() <= 0.0:
-        raise PositivityError(f"unreduced density non-positive at t={t:.6g}")
-    out = np.log(density / pack.surface.area_weight.astype(ld))
-    out = out + pack.h_gamma.values.astype(ld)
-    if pack.divisor is not None and params.gamma < 1.0:
-        out = out + ld(1.0 - params.gamma) * np.log(
-            ld(params.epsilon) ** 2 + pack.divisor.s_h_sq.astype(ld))
-    return out.astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Initial potentials, the flow-ready truncated levels, and singularity diagnostics.
+"""Initial potentials and the flow-ready truncated levels.
 
 Four families of initial data are provided:
 
@@ -13,11 +13,6 @@ A flow at regularization level eps starts from ``flow_level_values``: the
 datum with its section smoothed at scale eps, truncated from below by the
 soft maximum ``phi_j = sigma * logaddexp(phi/sigma, -j/sigma)``, which is
 smooth, at most ``sigma ln 2`` above ``max(phi, -j)`` and decreasing in j.
-
-Diagnostics follow the chart picture at each divisor point: Lelong numbers
-from the slope of circle means against log of the chart radius, and the
-integrability index from a ratio test on dyadic shell quadratures of
-``e^(-2 c phi)``.
 """
 
 from __future__ import annotations
@@ -34,15 +29,10 @@ from .surfaces import (
     ScalarField,
     SurfaceKind,
     ddbar_density_values,
-    geodesic_circle,
-    sample_bilinear,
 )
 
 #: sharpness of the soft clamp inside the zero-Lelong profile
 _CLAMP_TAU = 0.5
-
-#: shell-ratio threshold below which a dyadic quadrature counts as convergent
-_SHELL_RATIO_THRESHOLD = 0.95
 
 _LN2 = float(np.log(2.0))
 
@@ -61,17 +51,11 @@ class InitialDatum:
     kind: DatumKind
     phi0: ScalarField
     params_used: dict
-    lelong: dict
-    integrability: dict
     psh_margin: float
     psh_margin_rel: float
     # nodes excluded from admissibility scans (log poles: the stencil smears
     # the point mass over a few rings, so a chart-radius halo is skipped)
     psh_exclusion: np.ndarray | None = None
-
-    @property
-    def lelong_max(self) -> float:
-        return max(self.lelong.values(), default=0.0)
 
 
 def softmax_pair(a: np.ndarray, b: float, sigma: float) -> np.ndarray:
@@ -124,7 +108,7 @@ def _chart_radius_grid(surface: ModelSurface, centre: tuple) -> np.ndarray:
 
 def make_initial(surface: ModelSurface, divisor: DivisorData | None,
                  kind: DatumKind, params: dict) -> InitialDatum:
-    """Build an initial potential with its diagnostics.
+    """Build an initial potential with its psh margins.
 
     Raises when the datum fails the psh admissibility check away from its
     singular nodes; the zero-Lelong family instead shrinks its amplitude
@@ -210,21 +194,12 @@ def make_initial(surface: ModelSurface, divisor: DivisorData | None,
 
     phi0 = ScalarField(surface, values, tag=f"phi0[{kind.value}]", singular_mask=mask)
 
-    lelong = {}
-    integrability = {}
-    if divisor is not None:
-        for node, coords in zip(divisor.points, divisor.point_coords):
-            lelong[node] = lelong_estimate(surface, values, coords)
-            integrability[node] = integrability_index(surface, values, coords)
-
     return InitialDatum(
         surface=surface,
         divisor=divisor,
         kind=kind,
         phi0=phi0,
         params_used=params,
-        lelong=lelong,
-        integrability=integrability,
         psh_margin=absolute,
         psh_margin_rel=relative,
         psh_exclusion=exclusion,
@@ -270,91 +245,3 @@ def flow_level_values(datum: InitialDatum, epsilon: float,
         vals = softmax_pair(vals, -float(j), sigma)
         tag += f", j={j:g}"
     return ScalarField(datum.surface, vals, tag=tag + "]")
-
-
-# ---------------------------------------------------------------------------
-# singularity diagnostics
-
-
-def _chart_radii(surface: ModelSurface) -> np.ndarray:
-    """Dyadic chart radii 4/N * 2^k capped at 1/4 (at least three required)."""
-    n = surface.resolution
-    radii = []
-    r = 4.0 / n
-    while r <= 0.25 + 1e-12:
-        radii.append(r)
-        r *= 2.0
-    if len(radii) < 3:
-        raise ConfigurationError(
-            f"resolution {n} leaves {len(radii)} usable radii; need >= 3"
-        )
-    return np.array(radii)
-
-
-def circle_mean(surface: ModelSurface, values: np.ndarray,
-                centre: tuple, chart_radius: float, count: int = 128) -> float:
-    """Mean of a field over the geodesic circle with stereographic radius r."""
-    if surface.kind is not SurfaceKind.SPHERE_P1:
-        raise ConfigurationError("circle means are defined on the sphere")
-    distance = 2.0 * np.arctan(chart_radius)
-    th, ph = geodesic_circle(centre, distance, count)
-    return float(sample_bilinear(surface, values, th, ph).mean())
-
-
-def lelong_estimate(surface: ModelSurface, values: np.ndarray,
-                    centre: tuple) -> float:
-    """Least-squares slope of circle means against log chart radius, clamped at 0.
-
-    The slope of ``c log|z|`` is c; bounded fields fit slope ~ 0.  Radii run
-    over the dyadic window [4/N, 1/4].
-    """
-    radii = _chart_radii(surface)
-    means = np.array([circle_mean(surface, values, centre, r) for r in radii])
-    logr = np.log(radii)
-    slope = np.polyfit(logr, means, 1)[0]
-    return float(max(slope, 0.0))
-
-
-def integrability_index(surface: ModelSurface, values: np.ndarray,
-                        centre: tuple,
-                        probe_c_grid: np.ndarray | None = None) -> float:
-    """Largest probe c with convergent local quadrature of e^(-2 c phi).
-
-    Convergence is decided by a ratio test on dyadic shells around the point:
-    shell sums shrinking by the threshold factor as the shells refine count
-    as convergent.  Returns ``inf`` when every probe passes.
-    """
-    if probe_c_grid is None:
-        probe_c_grid = np.geomspace(0.25, 16.0, 33)
-    probes = np.sort(np.asarray(probe_c_grid, dtype=float))
-    if probes.size == 0 or probes[0] <= 0.0:
-        raise ConfigurationError("probe grid must be positive")
-
-    chart_r = _chart_radius_grid(surface, centre)
-
-    edges = [0.25]
-    while edges[-1] * 0.5 >= 2.5 / surface.resolution:
-        edges.append(edges[-1] * 0.5)
-    if len(edges) < 3:
-        raise ConfigurationError("grid too coarse for shell quadrature")
-
-    finite = np.isfinite(values)
-    weight = surface.area_weight * surface.cell_area
-    best = 0.0
-    for c in probes:
-        with np.errstate(over="ignore"):
-            integrand = np.where(finite, np.exp(-2.0 * c * np.where(finite, values, 0.0)), 0.0)
-        sums = []
-        for outer, inner in zip(edges[:-1], edges[1:]):
-            ring = (chart_r < outer) & (chart_r >= inner) & finite
-            sums.append(float((integrand * weight)[ring].sum()))
-        sums = np.array(sums)
-        if np.any(sums <= 0.0):
-            ratio = 0.0
-        else:
-            ratio = float(np.exp(np.mean(np.diff(np.log(sums)))))
-        if ratio <= _SHELL_RATIO_THRESHOLD:
-            best = c
-        else:
-            return best if best > 0.0 else 0.0
-    return np.inf

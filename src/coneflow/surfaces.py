@@ -47,6 +47,11 @@ class SurfaceKind(enum.Enum):
     TORUS = "torus"
     SPHERE_P1 = "sphere"
 
+    @property
+    def c1_degree(self) -> float:
+        """Anticanonical degree: 0 for the torus, 2 for the sphere."""
+        return 0.0 if self is SurfaceKind.TORUS else 2.0
+
 
 @dataclass(eq=False)
 class ModelSurface:
@@ -71,8 +76,6 @@ class ModelSurface:
     ricci_background : ndarray
         Normalised Ricci density of the background metric (integral equals
         the anticanonical degree: 0 for the torus, 2 for the sphere).
-    c1_degree : float
-        Anticanonical degree of the surface.
     """
 
     kind: SurfaceKind
@@ -83,7 +86,6 @@ class ModelSurface:
     cell_area: float
     area_weight: np.ndarray
     ricci_background: np.ndarray
-    c1_degree: float
     # sphere-only stencil coefficients; None on the torus
     _sin_edge: np.ndarray | None = None
     _sin_cell: np.ndarray | None = None
@@ -204,7 +206,6 @@ def build_surface(kind: SurfaceKind, resolution: int, volume: float) -> ModelSur
             cell_area=cell,
             area_weight=w,
             ricci_background=ric,
-            c1_degree=0.0,
         )
 
     if kind is SurfaceKind.SPHERE_P1:
@@ -231,7 +232,6 @@ def build_surface(kind: SurfaceKind, resolution: int, volume: float) -> ModelSur
             cell_area=cell,
             area_weight=w,
             ricci_background=ric,
-            c1_degree=2.0,
             _sin_edge=sin_edge,
             _sin_cell=sin_cell,
         )
@@ -483,70 +483,3 @@ def divisor_section(surface: ModelSurface,
         s_h_sq=s_sq,
         theta_density=theta_density,
     )
-
-
-# ---------------------------------------------------------------------------
-# sampling helpers (circle means around divisor points)
-
-
-def sample_bilinear(surface: ModelSurface, values: np.ndarray,
-                    a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation at coordinate points (a0, a1).
-
-    Longitude/both axes wrap periodically; on the sphere the colatitude is
-    clamped to the cell-centre range (callers stay away from the poles).
-    """
-    n = surface.resolution
-    if surface.kind is SurfaceKind.TORUS:
-        u = np.asarray(a0) * n
-        v = np.asarray(a1) * n
-        i0 = np.floor(u).astype(int)
-        j0 = np.floor(v).astype(int)
-        fu = u - i0
-        fv = v - j0
-        i0 %= n
-        j0 %= n
-        i1 = (i0 + 1) % n
-        j1 = (j0 + 1) % n
-    else:
-        dtheta = np.pi / n
-        dphi = 2.0 * np.pi / n
-        u = np.asarray(a0) / dtheta - 0.5
-        u = np.clip(u, 0.0, n - 1.0)
-        v = np.asarray(a1) / dphi
-        i0 = np.floor(u).astype(int)
-        i0 = np.minimum(i0, n - 2)
-        fu = u - i0
-        j0 = np.floor(v).astype(int)
-        fv = v - j0
-        j0 %= n
-        i1 = i0 + 1
-        j1 = (j0 + 1) % n
-    return (
-        values[i0, j0] * (1 - fu) * (1 - fv)
-        + values[i1, j0] * fu * (1 - fv)
-        + values[i0, j1] * (1 - fu) * fv
-        + values[i1, j1] * fu * fv
-    )
-
-
-def geodesic_circle(point: tuple[float, float], distance: float,
-                    count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points on the geodesic circle of angular radius ``distance`` on the sphere.
-
-    Returns (theta, phi) arrays of length ``count``, parametrised uniformly by
-    the azimuth at the centre point.
-    """
-    tp, pp = point
-    centre = np.array([np.sin(tp) * np.cos(pp), np.sin(tp) * np.sin(pp), np.cos(tp)])
-    # orthonormal tangent frame at the centre
-    e1 = np.array([np.cos(tp) * np.cos(pp), np.cos(tp) * np.sin(pp), -np.sin(tp)])
-    e2 = np.array([-np.sin(pp), np.cos(pp), 0.0])
-    beta = 2.0 * np.pi * np.arange(count) / count
-    pts = (
-        np.cos(distance) * centre[None, :]
-        + np.sin(distance) * (np.cos(beta)[:, None] * e1 + np.sin(beta)[:, None] * e2)
-    )
-    theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
-    phi = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
-    return theta, phi

@@ -245,8 +245,7 @@ def test_pack_torus_trivial(torus):
     assert pack.tmax == np.inf
     assert np.abs(pack.nu_gamma.values).max() == 0.0
     assert np.abs(pack.F_eps.values).max() < 1e-12
-    assert pack.equivalence_constant == 1.0
-    assert np.array_equal(pack.omega_path(1.7), torus.area_weight)
+    assert np.array_equal(pack.omega_path_eps(1.7), torus.area_weight)
 
 
 def test_pack_sphere_gamma_one_k_zero(sphere, divisor):
@@ -262,17 +261,13 @@ def test_pack_conical(sphere, divisor):
     pack = build_pack(sphere, divisor, FlowParams(gamma=0.5, epsilon=0.1, k=k, T=1.0))
     assert pack.tmax == pytest.approx(4.0 / 3.0)
     assert pack.slope == -1.5
-    assert np.isfinite(pack.sup_F)
-    assert pack.sup_chi >= 0.0
+    assert np.isfinite(pack.F_eps.values).all()
     # cohomology: integral of nu is the slope
     assert abs(integrate(sphere, pack.nu_gamma.values) - pack.slope) < 1e-8
-    # sandwich certified by the recorded constant
-    C = pack.equivalence_constant
+    # both paths stay positive across the horizon
     for t in np.linspace(0.0, 1.0, 33):
-        ratio = pack.omega_path_eps(t) / pack.omega_cone_eps.values
-        assert ratio.max() <= C + 1e-12
-        assert ratio.min() >= 1.0 / C - 1e-12
-        assert pack.omega_path(t).min() > 0.0
+        assert pack.omega_path_eps(t).min() > 0.0
+        assert (sphere.area_weight + t * pack.nu_gamma.values).min() > 0.0
 
 
 def test_pack_F_saturates(sphere, divisor):
@@ -283,7 +278,7 @@ def test_pack_F_saturates(sphere, divisor):
     sups = []
     for eps in (0.2, 0.1, 0.05, 0.025):
         pack = build_pack(sphere, divisor, FlowParams(gamma=0.5, epsilon=eps, k=k, T=1.0))
-        sups.append(pack.sup_F)
+        sups.append(float(np.abs(pack.F_eps.values).max()))
     inc = np.diff(sups)
     assert np.all(inc > 0.0)  # approaching the cap from below
     assert inc[1] < 0.95 * inc[0] and inc[2] < 0.95 * inc[1], f"increments {inc}"

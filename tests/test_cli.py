@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output layout."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,9 @@ import pytest
 
 import coneflow
 import coneflow.config
+from coneflow.archive import load_archive
 from coneflow.cli import main
+from coneflow.flow import Termination
 
 TORUS_CFG = """\
 [surface]
@@ -35,7 +38,7 @@ estimates = upper_barrier; lower_barrier; hstat; monotone_eps(t=0.05); signature
 SPHERE_CFG = """\
 [surface]
 kind = sphere
-n = 64
+n = 32
 v = 2.0
 
 [divisor]
@@ -142,6 +145,16 @@ class TestRun:
     def test_missing_out_is_config_error(self, torus_cfg):
         assert main(["run", "--config", str(torus_cfg)]) == 2
 
+    def test_coarse_sphere_with_divisor_reaches_T(self, tmp_path):
+        # N=32 is above MIN_RESOLUTION and eps=0.2 above its floor, so a
+        # divisor must not reject the grid
+        cfg = tmp_path / "sphere.cfg"
+        cfg.write_text(SPHERE_CFG)
+        out = tmp_path / "arc"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        runs = load_archive(out).trajectories.values()
+        assert [traj.termination for traj in runs] == [Termination.REACHED_T]
+
 
 class TestVerify:
     def test_configured_selection_passes(self, torus_archive, capsys):
@@ -247,3 +260,10 @@ class TestSelfcheck:
     def test_selfcheck_passes(self, capsys):
         assert main(["selfcheck"]) == 0
         assert "selfcheck ok" in capsys.readouterr().out
+
+
+def test_readme_library_example(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (code,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    exec(compile(code, str(readme), "exec"), {})
+    assert capsys.readouterr().out.startswith("PASS upper_barrier")

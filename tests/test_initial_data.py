@@ -1,4 +1,4 @@
-"""Initial data catalog, truncated flow levels, and singularity diagnostics."""
+"""Initial data catalog, truncated flow levels, and psh margins."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 from coneflow.errors import ConfigurationError, PositivityError
 from coneflow.initial_data import (
     DatumKind,
-    InitialDatum,
-    _chart_radii,
     flow_level_values,
-    integrability_index,
-    lelong_estimate,
     make_initial,
     psh_margins,
     smoothed_datum_values,
@@ -47,9 +43,6 @@ def log_pole(sphere, divisor):
 def test_flat_smooth_datum_is_reference_case(sphere, divisor):
     d = make_initial(sphere, divisor, DatumKind.SMOOTH, {"c": 0.0})
     assert d.phi0.values.max() == 0.0 and d.phi0.values.min() == 0.0
-    pt = divisor.points[0]
-    assert d.lelong[pt] == 0.0
-    assert d.integrability[pt] == np.inf
     # zero potential: margin is exactly the area-weight minimum
     assert d.psh_margin == pytest.approx(float(sphere.area_weight.min()), rel=0, abs=0)
 
@@ -59,7 +52,6 @@ def test_smooth_torus_mode(sphere):
     d = make_initial(torus, None, DatumKind.SMOOTH, {"c": 0.01, "m1": 1})
     x, _ = torus.meshgrid()
     assert np.allclose(d.phi0.values, 0.01 * np.cos(2 * np.pi * x))
-    assert d.lelong == {} and d.integrability == {}
     assert d.psh_margin_rel > 0.5
 
 
@@ -76,15 +68,10 @@ def test_donaldson_cone_profile(sphere, divisor):
     assert d.phi0.values[pt] == 0.0
     assert d.phi0.values.max() == pytest.approx(0.05, rel=1e-12)
     assert d.psh_margin > 0.0
-    # bounded Hoelder profile: no mass, locally integrable at every probe
-    assert d.lelong[pt] <= 0.02
-    assert d.integrability[pt] == np.inf
 
 
 def test_zero_lelong_diagnostics(zero_lelong, divisor):
     pt = divisor.points[0]
-    assert zero_lelong.lelong[pt] <= 0.02
-    assert zero_lelong.integrability[pt] == np.inf
     assert zero_lelong.psh_margin_rel >= -1e-6
     # the pole node is flagged singular, everything else finite
     mask = zero_lelong.phi0.singular_mask
@@ -98,19 +85,6 @@ def test_zero_lelong_amplitude_autoshrink(sphere, divisor):
                      {"c": 5.0, "alpha": 0.5})
     assert d.params_used["c"] < 5.0
     assert d.psh_margin_rel >= -1e-6
-
-
-def test_log_pole_lelong_matches_coefficient(log_pole, divisor):
-    pt = divisor.points[0]
-    assert 0.9 * 0.2 <= log_pole.lelong[pt] <= 1.1 * 0.2
-
-
-def test_log_pole_skoda_reciprocal(log_pole, divisor):
-    # complex dimension 1: integrability threshold is 1/(Lelong number)
-    pt = divisor.points[0]
-    index = log_pole.integrability[pt]
-    assert np.isfinite(index)
-    assert abs(index - 1.0 / 0.2) <= 0.15 * (1.0 / 0.2)
 
 
 def test_log_pole_margin_outside_halo(log_pole):
@@ -209,42 +183,7 @@ def test_softmax_pair_bracket(a, b, sigma):
 
 
 # ---------------------------------------------------------------------------
-# diagnostics
-
-
-def test_lelong_exact_log_slope(sphere):
-    # c log|z| about a point away from any divisor: slope recovers c
-    centre = (np.pi / 2, np.pi / 2)
-    div = divisor_section(sphere, [centre])
-    with np.errstate(divide="ignore"):
-        values = 0.35 * 0.5 * np.log(div.s_h_sq)
-    est = lelong_estimate(sphere, values, div.point_coords[0])
-    assert est == pytest.approx(0.35, rel=0.05)
-
-
-def test_lelong_clamped_at_zero(sphere):
-    th, _ = sphere.meshgrid()
-    values = -0.05 * np.cos(th)
-    est = lelong_estimate(sphere, values, (np.pi / 2, np.pi))
-    assert est == 0.0 or est < 0.01
-
-
-def test_radii_window_needs_resolution():
-    coarse = build_surface(SurfaceKind.SPHERE_P1, 32, 2.0)
-    with pytest.raises(ConfigurationError, match="radii"):
-        _chart_radii(coarse)
-    fine = build_surface(SurfaceKind.SPHERE_P1, 64, 2.0)
-    radii = _chart_radii(fine)
-    assert len(radii) >= 3
-    assert radii[0] == pytest.approx(4.0 / 64)
-    assert radii[-1] <= 0.25 + 1e-12
-
-
-def test_integrability_probe_validation(sphere):
-    values = np.zeros(sphere.shape)
-    with pytest.raises(ConfigurationError, match="probe"):
-        integrability_index(sphere, values, (np.pi / 2, np.pi),
-                            probe_c_grid=np.array([-1.0, 1.0]))
+# psh margins
 
 
 def test_psh_margin_excludes_singular_one_ring(sphere, divisor):
@@ -265,9 +204,3 @@ def test_psh_margin_excludes_singular_one_ring(sphere, divisor):
         wide |= np.roll(mask, shift, axis=ax)
     _, rel_wide = psh_margins(sphere, values, None, exclude=wide)
     assert rel_wide == pytest.approx(1.0, abs=1e-9)
-
-
-def test_datum_exposes_lelong_max(zero_lelong, log_pole):
-    assert isinstance(zero_lelong, InitialDatum)
-    assert zero_lelong.lelong_max <= 0.02
-    assert log_pole.lelong_max >= 0.18

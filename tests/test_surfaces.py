@@ -15,11 +15,9 @@ from coneflow.surfaces import (
     ddbar_density_values,
     ddbar_solve_values,
     divisor_section,
-    geodesic_circle,
     integrate,
     laplacian,
     poisson_solve,
-    sample_bilinear,
 )
 
 
@@ -210,31 +208,6 @@ def test_divisor_validation(torus, sphere):
         divisor_section(sphere, [])
     with pytest.raises(ConfigurationError):
         divisor_section(sphere, [(np.pi / 2, 0.0), (np.pi / 2, 1e-9)])
-
-
-def test_bilinear_at_nodes(torus, sphere):
-    rng = np.random.default_rng(5)
-    for s in (torus, sphere):
-        v = rng.normal(size=s.shape)
-        a0, a1 = s.meshgrid()
-        got = sample_bilinear(s, v, a0.ravel(), a1.ravel())
-        assert np.abs(got - v.ravel()).max() < 1e-12, str(s.kind)
-
-
-def test_bilinear_accuracy(sphere):
-    th, ph = sphere.meshgrid()
-    v = np.sin(th) * np.cos(ph)
-    t = np.array([1.0, 1.3, 2.0])
-    p = np.array([0.5, 3.0, 5.0])
-    got = sample_bilinear(sphere, v, t, p)
-    assert np.abs(got - np.sin(t) * np.cos(p)).max() < 5e-3
-
-
-def test_geodesic_circle_distance():
-    centre = (1.1, 0.7)
-    th, ph = geodesic_circle(centre, 0.3, 64)
-    ct = np.cos(th) * np.cos(centre[0]) + np.sin(th) * np.sin(centre[0]) * np.cos(ph - centre[1])
-    assert np.abs(ct - np.cos(0.3)).max() < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
