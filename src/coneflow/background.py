@@ -222,17 +222,25 @@ def select_k(surface: ModelSurface, divisor: DivisorData | None, gamma: float,
     constant (see ``path_constant``).  The search cap is
     ``gamma / (2 (C - 1/2))``, the smallness asked of ``(C - 1/2) k / gamma``.
     Raises when even the floor of the grid fails.
+
+    ddbar(chi) does not depend on k, so it is computed once per epsilon and
+    each candidate k is tested with ``cgp_metric``'s own arithmetic.
     """
     if not eps_list:
         raise ConfigurationError("eps_list must be non-empty")
     if equivalence_C <= 0.5:
         raise ConfigurationError("equivalence constant must exceed 1/2")
     cap = gamma / (2.0 * max(equivalence_C - 0.5, 0.5))
+    if divisor is None:
+        return cap
+    w = surface.area_weight
+    ddbar_chis = [ddbar_density_values(surface,
+                                       cgp_chi(gamma, eps, divisor.s_h_sq))
+                  for eps in eps_list]
     k = cap
     scale = max(equivalence_C, 1.0)
     for _ in range(41):
-        if all(cgp_metric(surface, divisor, gamma, eps, scale * k).valid
-               for eps in eps_list):
+        if not any((w + (scale * k) * d < 0.5 * w).any() for d in ddbar_chis):
             return k
         k *= 0.5
     raise ConfigurationError(

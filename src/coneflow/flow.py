@@ -15,7 +15,13 @@ The implicit steps are solved by a chord iteration (Kelley, *Solving
 Nonlinear Equations with Newton's Method*, SIAM 2003, ch. 5): one sparse LU
 factor of the Jacobian is held for a whole run, across steps and changes of
 dt, and rebuilt only when a step on it fails to halve the residual.  The
-static Monge-Ampere solve uses the same iteration.
+static Monge-Ampere solve uses the same iteration.  Both Jacobians are the
+5-point ddbar stencil plus a diagonal, so their sparsity pattern is exactly
+symmetric, and the factor is ordered by minimum degree on the pattern of
+A^T + A rather than by SuperLU's default COLAMD, which orders columns for
+unsymmetric matrices.  That cuts the fill of L + U by a third (167k against
+248k nonzeros at N=64, 0.97M against 1.44M at N=128) and each triangular
+solve by about 40% at N=128, where the solves dominate a run.
 
 A trajectory records checkpoint snapshots plus per-step scalar series; the
 static solver and the exponential time reparametrization used by the
@@ -207,6 +213,12 @@ def _chord(u, residual, jacobian, held, tol, max_iters, halvings):
     halvings until the residual decreases.  Every step taken counts against
     ``max_iters``.
 
+    The factor is ordered by minimum degree on A^T + A (``MMD_AT_PLUS_A``):
+    the Jacobians passed in have a structurally symmetric pattern, for which
+    that ordering leaves about a third less fill than the default COLAMD
+    (0.97M against 1.44M nonzeros in L + U at N=128), and the triangular
+    solves on the held factor get cheaper in proportion.
+
     Returns (u, residual history, None) on success and (u, history, cause)
     on failure.
     """
@@ -225,7 +237,8 @@ def _chord(u, residual, jacobian, held, tol, max_iters, halvings):
         if len(history) > max_iters:
             return u, history, Rejection.ITERATIONS
         if held[0] is None:
-            held[0] = spla.splu(jacobian(aux).tocsc())
+            held[0] = spla.splu(jacobian(aux).tocsc(),
+                                 permc_spec="MMD_AT_PLUS_A")
             fresh = True
         delta = held[0].solve(-res)
         lam = 1.0

@@ -212,6 +212,25 @@ def test_select_k_conical(sphere, divisor):
         assert cgp_metric(sphere, divisor, 0.5, eps, C * k / 2.0).valid
 
 
+@pytest.mark.parametrize("gamma, eps_list, C", [
+    (0.5, [0.2, 0.1, 0.05, 0.025], 4.0),
+    (0.5, [0.1], path_constant(2.0, -1.5, 1.0)),
+    (0.9, [0.2], path_constant(2.0, -1.9, 0.5)),
+    (0.3, [0.05, 0.2], 2.0),
+])
+def test_select_k_is_largest_valid_grid_value(sphere, divisor, gamma,
+                                              eps_list, C):
+    # the k returned is the first grid value cgp_metric accepts at C*k for
+    # every eps: either the cap, or one halving back fails for some eps
+    cap = gamma / (2.0 * (C - 0.5))
+    k = select_k(sphere, divisor, gamma, eps_list, equivalence_C=C)
+    assert all(cgp_metric(sphere, divisor, gamma, eps, C * k).valid
+               for eps in eps_list)
+    assert k == cap or not all(
+        cgp_metric(sphere, divisor, gamma, eps, C * 2.0 * k).valid
+        for eps in eps_list)
+
+
 def test_select_k_validation(sphere, divisor):
     with pytest.raises(ConfigurationError):
         select_k(sphere, divisor, 0.5, [])

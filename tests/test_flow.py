@@ -313,13 +313,16 @@ def test_rk2_step_floor_after_recovered_positivity(torus, torus_pack,
 def test_chord_solver_reuses_factors(sphere_pack, monkeypatch):
     # one LU factor serves many steps, and every accepted step still solves
     # the backward-Euler equation to newton_tol (checked through the
-    # independent stencil evaluation of flow_rhs_values)
+    # independent stencil evaluation of flow_rhs_values); the factor is
+    # ordered for the symmetric pattern (fill 167,400 at N=64 under
+    # MMD_AT_PLUS_A, 247,738 under the default COLAMD)
     factorizations = []
     real_splu = flow.spla.splu
 
     def counting_splu(*args, **kwargs):
-        factorizations.append(1)
-        return real_splu(*args, **kwargs)
+        lu = real_splu(*args, **kwargs)
+        factorizations.append(lu.L.nnz + lu.U.nnz)
+        return lu
 
     residuals = []
     real_finalize = flow._finalize
@@ -340,6 +343,29 @@ def test_chord_solver_reuses_factors(sphere_pack, monkeypatch):
     assert len(residuals) == steps
     assert max(residuals) <= control.newton_tol
     assert 4 * len(factorizations) <= steps
+    assert max(factorizations) <= 200_000
+
+
+def _force_colamd(monkeypatch):
+    real_splu = flow.spla.splu
+
+    def colamd_splu(a, **kwargs):
+        return real_splu(a, **{**kwargs, "permc_spec": "COLAMD"})
+
+    monkeypatch.setattr(flow.spla, "splu", colamd_splu)
+
+
+def test_ordering_leaves_flow_unchanged(sphere_traj, sphere_pack, monkeypatch):
+    # the fill-reducing ordering changes rounding only: the same run under
+    # the default COLAMD takes the same steps to the same checkpoints
+    _force_colamd(monkeypatch)
+    ref = run_flow(sphere_pack, 0.0, np.zeros(sphere_pack.surface.shape),
+                   StepControl(), sphere_traj.checkpoint_times)
+    assert ref.termination is sphere_traj.termination is Termination.REACHED_T
+    for a, b in zip(sphere_traj.snapshots, ref.snapshots):
+        assert a.step_count == b.step_count
+        assert a.rejected_steps == b.rejected_steps == 0
+        assert np.abs(a.phi.values - b.phi.values).max() <= 1e-9
 
 
 def test_doubled_grid_reaches_horizon_without_rejections(doubled_lab):
@@ -406,6 +432,15 @@ def test_static_sphere_cone_weight_stability(sphere):
         sups.append(float(np.abs(sol.values).max()))
     assert sups[0] < 5.0 and sups[1] < 5.0
     assert abs(sups[0] - sups[1]) <= 0.3 * max(sups)
+
+
+def test_static_ordering_leaves_solution_unchanged(sphere, monkeypatch):
+    divisor = divisor_section(sphere, [(np.pi / 2, np.pi)])
+    data = sphere.area_weight / (0.1**2 + divisor.s_h_sq) ** 0.5
+    sol = static_ma_solve(sphere, data, 0.0)
+    _force_colamd(monkeypatch)
+    ref = static_ma_solve(sphere, data, 0.0)
+    assert np.abs(sol.values - ref.values).max() <= 1e-9
 
 
 def test_static_validation_and_failure():
