@@ -5,9 +5,14 @@ Layout of an archive directory::
     config.txt        canonical config with the cone coefficient k the runs
                       used (an automatic k resolved), the family's one record
     run_<id>.ckrf     one file per trajectory: states, series, step control
-    manifest.json     content hashes, per-run status, completion flag
+    manifest.json     hashes of config.txt and the run files, per-run
+                      status, completion flag
     reports/          verification reports (written by the verify command)
     exports/          CSV exports (written by the export command)
+
+``reports/`` and ``exports/`` are derived files outside the manifest: a later
+``verify`` or ``export`` rewrites them, and a ``run`` into the same directory
+leaves them as they are.
 
 Binary files share one framing: magic ``CKRF1``, a version byte, then a
 sequence of named frames.  Every float payload is little-endian float64, so
@@ -194,12 +199,15 @@ def load_run(path, packs: dict) -> Trajectory:
 # whole archives
 
 
-def write_manifest(directory, run_status: dict, complete: bool = True) -> None:
+def write_manifest(directory, names, run_status: dict,
+                   complete: bool = True) -> None:
+    """Hash the named files, the ones ``write_archive`` wrote, and nothing else.
+
+    Reports and exports from an earlier ``verify``/``export`` in the same
+    directory are rewritten later, so hashing them would fail the next load.
+    """
     directory = Path(directory)
-    files = {}
-    for path in sorted(directory.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            files[path.relative_to(directory).as_posix()] = _sha256(path)
+    files = {name: _sha256(directory / name) for name in names}
     manifest = {
         "format": MAGIC.decode(),
         "version": VERSION,
@@ -258,13 +266,15 @@ def write_archive(directory, config: RunConfig, trajectories,
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "config.txt").write_text(emit_config(config))
+    names = ["config.txt"]
     status = {}
     for traj in trajectories:
         name = save_run(directory, traj)
+        names.append(name)
         status[traj.run_id] = {"status": "ok", "error": None, "file": name}
     for run_id, error in (run_errors or {}).items():
         status[run_id] = {"status": "failed", "error": str(error), "file": None}
-    write_manifest(directory, status, complete=complete)
+    write_manifest(directory, names, status, complete=complete)
     return directory
 
 
@@ -306,13 +316,24 @@ def series_csv(traj: Trajectory) -> str:
 
 
 def snapshot_csv(traj: Trajectory, t: float) -> str:
-    """Node table at one checkpoint: coordinates, fields, scan mask."""
+    """Node table at one checkpoint: coordinates, fields, scan mask.
+
+    The coordinate cells are the same for every snapshot of every run on a
+    surface, so the surface formats them once and keeps them
+    (``ModelSurface.coordinate_cells``). They live as long as the surface:
+    ``load_archive`` builds one surface for all the runs of an archive, and
+    the cells go when the archive is dropped. A cache held by the process
+    instead would keep a dropped archive's surface alive.
+    """
     state = traj.state_at(t)
-    a0, a1 = traj.pack.surface.meshgrid()
+    surface = traj.pack.surface
     excl = (traj.scan_exclude if traj.scan_exclude is not None
-            else np.zeros(traj.pack.surface.shape, dtype=bool))
-    cells = [map(repr, col.ravel().tolist())
-             for col in (a0, a1, state.phi.values, state.phi_dot.values)]
-    flags = ("1" if e else "0" for e in excl.ravel().tolist())
-    rows = map(",".join, zip(*cells, flags))
-    return "\n".join(["axis0,axis1,phi,phi_dot,excluded", *rows]) + "\n"
+            else np.zeros(surface.shape, dtype=bool))
+    cells = surface.coordinate_cells()
+    # five pieces a row: "axis0,axis1,", phi, ",", phi_dot, ",flag\n"
+    pieces = [","] * (5 * len(cells))
+    pieces[0::5] = cells
+    pieces[1::5] = map(repr, state.phi.values.ravel().tolist())
+    pieces[3::5] = map(repr, state.phi_dot.values.ravel().tolist())
+    pieces[4::5] = [",1\n" if e else ",0\n" for e in excl.ravel().tolist()]
+    return "axis0,axis1,phi,phi_dot,excluded\n" + "".join(pieces)

@@ -90,6 +90,7 @@ class ModelSurface:
     _sin_edge: np.ndarray | None = None
     _sin_cell: np.ndarray | None = None
     _dd_matrix: sp.csr_matrix | None = field(default=None, repr=False)
+    _coordinate_cells: tuple[str, ...] | None = field(default=None, repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -110,6 +111,15 @@ class ModelSurface:
         if self._dd_matrix is None:
             self._dd_matrix = _build_dd_matrix(self)
         return self._dd_matrix
+
+    def coordinate_cells(self) -> tuple[str, ...]:
+        """``"axis0,axis1,"`` of every node in C order, each coordinate repr-exact."""
+        if self._coordinate_cells is None:
+            a0, a1 = self.meshgrid()
+            self._coordinate_cells = tuple(
+                f"{x!r},{y!r}," for x, y in zip(a0.ravel().tolist(),
+                                                 a1.ravel().tolist()))
+        return self._coordinate_cells
 
 
 @dataclass(eq=False)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coneflow import archive
+from coneflow import archive, cli
 from coneflow.archive import (check_integrity, load_archive, read_frames,
                               save_run, load_run, series_csv, snapshot_csv,
                               write_archive, write_frames)
@@ -14,6 +14,7 @@ from coneflow.cli import execute_runs
 from coneflow.config import build_lab, parse_config
 from coneflow.errors import ArchiveError
 from coneflow.flow import SERIES_COLUMNS
+from coneflow.surfaces import ModelSurface
 
 CONFIG_TEXT = """\
 [surface]
@@ -219,6 +220,19 @@ class TestArchiveRoundtrip:
         assert any("run e0.1 failed" in p for p in check_integrity(d))
 
 
+def reference_snapshot_csv(traj, t):
+    """Node table with every node's coordinates formatted on each call."""
+    state = traj.state_at(t)
+    a0, a1 = traj.pack.surface.meshgrid()
+    excl = (traj.scan_exclude if traj.scan_exclude is not None
+            else np.zeros(traj.pack.surface.shape, dtype=bool))
+    cells = [map(repr, col.ravel().tolist())
+             for col in (a0, a1, state.phi.values, state.phi_dot.values)]
+    flags = ("1" if e else "0" for e in excl.ravel().tolist())
+    rows = map(",".join, zip(*cells, flags))
+    return "\n".join(["axis0,axis1,phi,phi_dot,excluded", *rows]) + "\n"
+
+
 class TestCsv:
     def test_series_has_one_row_per_checkpoint(self, archived):
         _config, results, _directory = archived
@@ -250,3 +264,42 @@ class TestCsv:
         text = snapshot_csv(traj, traj.checkpoint_times[0])
         flags = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]]
         assert flags.count("1") == int(np.sum(traj.scan_exclude))
+
+    def test_snapshot_matches_reference_at_every_checkpoint(
+            self, archived, sphere_lab):
+        _config, _results, directory = archived
+        masked = sphere_lab["lp_runs"][0]
+        assert masked.scan_exclude.any()
+        trajs = [*load_archive(directory).trajectories.values(), masked]
+        for traj in trajs:
+            for t in traj.checkpoint_times:
+                assert snapshot_csv(traj, t) == reference_snapshot_csv(traj, t)
+
+    def test_export_formats_coordinates_once_per_archive(
+            self, archived, tmp_path, monkeypatch):
+        config, results, _directory = archived
+        d = tmp_path / "export"
+        write_archive(d, config, results)
+        calls = []
+        real = ModelSurface.meshgrid
+        monkeypatch.setattr(ModelSurface, "meshgrid",
+                            lambda self: calls.append(self) or real(self))
+        load_archive(d)
+        loading = len(calls)
+        calls.clear()
+        assert cli.main(["export", "--out", str(d),
+                         "--only", "snapshots"]) == 0
+        assert len(list((d / "exports").iterdir())) == 2 * 4
+        assert len(calls) == loading + 1
+
+    def test_loaded_archives_do_not_share_cells(self, archived):
+        _config, _results, directory = archived
+        first, second = load_archive(directory), load_archive(directory)
+        surfaces = [arc.lab.surface for arc in (first, second)]
+        for arc, surface in zip((first, second), surfaces):
+            for traj in arc.trajectories.values():
+                assert traj.pack.surface is surface
+                snapshot_csv(traj, traj.checkpoint_times[0])
+        assert surfaces[0] is not surfaces[1]
+        cells = [surface.coordinate_cells() for surface in surfaces]
+        assert cells[0] == cells[1] and cells[0] is not cells[1]

@@ -136,6 +136,20 @@ class TestRun:
             manifests.append(json.loads((out / "manifest.json").read_text()))
         assert manifests[0]["files"] == manifests[1]["files"]
 
+    def test_rerun_into_used_directory_hashes_only_run_files(
+            self, torus_cfg, tmp_path):
+        out = tmp_path / "arc"
+        for c in ("0.01", "0.02"):
+            torus_cfg.write_text(TORUS_CFG.replace("c=0.01", f"c={c}"))
+            assert main(["run", "--config", str(torus_cfg),
+                         "--out", str(out)]) == 0
+            assert main(["verify", "--out", str(out)]) == 0
+            assert main(["export", "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["files"]) == [
+            "config.txt", "run_e0.05.ckrf", "run_e0.1.ckrf", "run_e0.2.ckrf"]
+
     def test_out_dir_resolves_against_env(self, torus_cfg, tmp_path,
                                           monkeypatch):
         monkeypatch.setenv("CONEFLOW_OUT", str(tmp_path))
