@@ -40,6 +40,7 @@ MAGIC = b"CKRF1"
 VERSION = 1
 
 _F64, _I64, _U8, _STR = 0, 1, 2, 3
+_DTYPES = {_F64: "<f8", _I64: "<i8", _U8: "u1"}
 
 
 def write_frames(path, frames) -> None:
@@ -82,6 +83,8 @@ def read_frames(path) -> dict:
     blob = path.read_bytes()
     if blob[:5] != MAGIC:
         raise ArchiveError(f"{path.name}: bad magic {blob[:5]!r}")
+    if len(blob) < 6:
+        raise ArchiveError(f"{path.name}: no version byte after the magic")
     if blob[5] != VERSION:
         raise ArchiveError(f"{path.name}: unsupported version {blob[5]}")
     frames: dict = {}
@@ -102,7 +105,10 @@ def read_frames(path) -> dict:
                 frames[name] = blob[pos:pos + count].decode()
                 pos += count
                 continue
-            dtype = {_F64: "<f8", _I64: "<i8", _U8: "u1"}[code]
+            if code not in _DTYPES:
+                raise ArchiveError(
+                    f"{path.name}: frame {name!r} has unknown type code {code}")
+            dtype = _DTYPES[code]
             itemsize = 8 if code in (_F64, _I64) else 1
             arr = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
             pos += count * itemsize
@@ -229,8 +235,15 @@ def check_integrity(directory) -> list:
         return [f"missing manifest.json in {directory}"]
     try:
         manifest = json.loads(mpath.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         return [f"manifest.json unreadable: {exc}"]
+    if not isinstance(manifest, dict):
+        return ["manifest.json is not a JSON object"]
+    for key in ("files", "runs"):
+        if not isinstance(manifest.get(key, {}), dict):
+            problems.append(f"manifest {key!r} is not a JSON object")
+    if problems:
+        return problems
     if not manifest.get("complete", False):
         problems.append("manifest marked incomplete (interrupted run)")
     for rel, digest in manifest.get("files", {}).items():
@@ -240,7 +253,11 @@ def check_integrity(directory) -> list:
         elif _sha256(path) != digest:
             problems.append(f"hash mismatch for {rel}")
     for run_id, info in manifest.get("runs", {}).items():
-        if info.get("status") != "ok":
+        if not isinstance(info, dict):
+            problems.append(f"run {run_id} entry is not a JSON object")
+        elif info.get("status") == "ok" and not isinstance(info.get("file"), str):
+            problems.append(f"run {run_id} names no run file")
+        elif info.get("status") != "ok":
             problems.append(f"run {run_id} failed: {info.get('error', '?')}")
     return problems
 
@@ -289,7 +306,7 @@ def load_archive(directory) -> Archive:
     config = parse_config((directory / "config.txt").read_text())
     lab = build_lab(config)
     trajectories = {run_id: load_run(directory / info["file"], lab.packs)
-                    for run_id, info in manifest["runs"].items()
+                    for run_id, info in manifest.get("runs", {}).items()
                     if info["status"] == "ok"}
     return Archive(directory=directory, config=config, manifest=manifest,
                    lab=lab, trajectories=trajectories)

@@ -88,6 +88,23 @@ class TestFrames:
         with pytest.raises(ArchiveError, match="missing"):
             read_frames(tmp_path / "absent.ckrf")
 
+    def test_magic_without_version_byte_rejected(self, tmp_path):
+        path = tmp_path / "short.ckrf"
+        path.write_bytes(b"CKRF1")
+        with pytest.raises(ArchiveError, match="version"):
+            read_frames(path)
+
+    def test_unknown_type_code_rejected(self, tmp_path):
+        path = tmp_path / "code.ckrf"
+        write_frames(path, [("value", 1.5)])
+        blob = bytearray(path.read_bytes())
+        code_at = 6 + 4 + len("value")      # header, name length, name
+        assert blob[code_at] == 0            # the float64 code
+        blob[code_at] = 9
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ArchiveError, match="unknown type code 9"):
+            read_frames(path)
+
 
 class TestRunRoundtrip:
     def test_trajectory_survives_bitwise(self, tmp_path, torus_lab):
@@ -218,6 +235,34 @@ class TestArchiveRoundtrip:
         manifest = json.loads((d / "manifest.json").read_text())
         assert manifest["runs"]["e0.1"]["status"] == "failed"
         assert any("run e0.1 failed" in p for p in check_integrity(d))
+
+    @pytest.mark.parametrize("mangle, problem", [
+        (lambda m: [], "manifest.json is not a JSON object"),
+        (lambda m: {**m, "runs": {"a": "ok"}}, "run a entry is not a JSON object"),
+        (lambda m: {**m, "runs": []}, "manifest 'runs' is not a JSON object"),
+        (lambda m: {**m, "files": "config.txt"},
+         "manifest 'files' is not a JSON object"),
+        (lambda m: {**m, "runs": {"e0.2": {"status": "ok", "file": None}}},
+         "run e0.2 names no run file"),
+    ], ids=["list", "run_entry_string", "runs_list", "files_string",
+            "ok_run_without_file"])
+    def test_malformed_manifest_is_a_problem_not_a_crash(
+            self, archived, tmp_path, mangle, problem):
+        config, results, _directory = archived
+        d = tmp_path / "mangled"
+        write_archive(d, config, results)
+        mpath = d / "manifest.json"
+        mpath.write_text(json.dumps(mangle(json.loads(mpath.read_text()))))
+        assert problem in check_integrity(d)
+        with pytest.raises(ArchiveError, match="integrity"):
+            load_archive(d)
+
+    def test_manifest_not_utf8_is_a_problem_not_a_crash(self, archived, tmp_path):
+        config, results, _directory = archived
+        d = tmp_path / "binary"
+        write_archive(d, config, results)
+        (d / "manifest.json").write_bytes(b"\xff\xfe{}")
+        assert check_integrity(d)[0].startswith("manifest.json unreadable")
 
 
 def reference_snapshot_csv(traj, t):

@@ -1,11 +1,16 @@
 """Background module: T_max, Calabi solves, cone potential, pack assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coneflow.background import (
+    _CHI_BLOCK,
+    _GL_NODES,
+    _GL_WEIGHTS,
     FlowParams,
     build_pack,
     calabi_volume_form,
@@ -121,6 +126,83 @@ def test_chi_decreasing_in_eps(gamma, eps_hi, x):
     lo = cgp_chi(gamma, eps_hi / 2.0, np.array([x]))[0]
     hi = cgp_chi(gamma, eps_hi, np.array([x]))[0]
     assert lo >= hi - 1e-12
+
+
+def reference_cgp_chi(gamma, epsilon, s_h_sq):
+    """The two-piece rule with every node at once: (nodes, 64) temporaries."""
+    x = np.asarray(s_h_sq, dtype=float)
+    e2g = epsilon ** (2.0 * gamma)
+    big = x.ravel() / epsilon**2
+    b1 = np.minimum(big, 1.0)
+    t = 0.5 * b1[:, None] * (_GL_NODES[None, :] + 1.0)
+    t_safe = np.where(t > 0.0, t, 1.0)
+    fa = e2g * np.expm1(gamma * np.log1p(t_safe)) / t_safe
+    fa = np.where(t > 0.0, fa, 0.0)
+    part_a = 0.5 * b1 * (fa @ _GL_WEIGHTS)
+    b2 = np.log(np.maximum(big, 1.0))
+    u = 0.5 * b2[:, None] * (_GL_NODES[None, :] + 1.0)
+    fb = e2g * np.expm1(gamma * np.log1p(np.exp(u)))
+    part_b = 0.5 * b2 * (fb @ _GL_WEIGHTS)
+    chi = (part_a + part_b) / gamma
+    return chi.reshape(x.shape)
+
+
+def _sphere_s_h_sq(n):
+    surface = build_surface(SurfaceKind.SPHERE_P1, n, 2.0)
+    return divisor_section(surface, [(np.pi / 2, 0.0)]).s_h_sq
+
+
+@pytest.fixture(scope="module")
+def sphere_s_h_sq():
+    return {n: _sphere_s_h_sq(n) for n in (16, 64, 128)}
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_chi_blocks_match_reference_bitwise_on_sphere(sphere_s_h_sq, n):
+    x = sphere_s_h_sq[n]
+    assert np.count_nonzero(x == 0.0) == 1      # the divisor node
+    for gamma in (0.5, 0.9):
+        for eps in (0.2, 0.1, 0.05):
+            got = cgp_chi(gamma, eps, x)
+            assert got.shape == x.shape
+            assert got.tobytes() == reference_cgp_chi(gamma, eps, x).tobytes(), \
+                f"N={n} gamma={gamma} eps={eps}"
+
+
+@pytest.mark.parametrize("length", [0, 1, _CHI_BLOCK - 1, _CHI_BLOCK + 3,
+                                    3 * _CHI_BLOCK])
+def test_chi_blocks_match_reference_bitwise_on_block_edges(length):
+    rng = np.random.default_rng(length)
+    for eps in (0.2, 0.1, 0.05):
+        # |s|^2/eps^2 on both sides of 1, exactly 1, exact zeros, and up to 1
+        x = eps**2 * rng.uniform(0.0, 2.0, length)
+        x[1::3] = rng.uniform(0.0, 1.0, x[1::3].size)
+        x[::7] = 0.0
+        x[5::11] = eps**2
+        for gamma in (0.5, 0.9):
+            got = cgp_chi(gamma, eps, x)
+            assert got.tobytes() == reference_cgp_chi(gamma, eps, x).tobytes(), \
+                f"length={length} gamma={gamma} eps={eps}"
+
+
+def _chi_peak_mb(x):
+    cgp_chi(0.5, 0.1, x)                          # nothing first-call in the peak
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cgp_chi(0.5, 0.1, x)
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_chi_allocation_does_not_scale_with_nodes(sphere_s_h_sq):
+    # all nodes at once peaked at 12.1 MB (N=64) and 48.5 MB (N=128)
+    peak64 = _chi_peak_mb(sphere_s_h_sq[64])
+    peak128 = _chi_peak_mb(sphere_s_h_sq[128])
+    assert peak128 <= 8.0, f"N=128 peak {peak128:.1f} MB"
+    assert abs(peak128 - peak64) <= 2.0, f"{peak64:.1f} -> {peak128:.1f} MB"
 
 
 def test_chi_validation():

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, output layout."""
+import hashlib
 import json
 import os
 import re
@@ -243,6 +244,33 @@ class TestVerify:
         target.write_bytes(bytes(blob))
         assert main(["verify", "--out", str(out)]) == 3
         assert "hash mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest", ["[]", '{"complete": true, "runs": {"a": "ok"}}'],
+                             ids=["list", "run_entry_string"])
+    def test_malformed_manifest_is_runtime_error(self, tmp_path, capsys, manifest):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TORUS_CFG)
+        out = tmp_path / "arc"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        (out / "manifest.json").write_text(manifest)
+        assert main(["verify", "--out", str(out)]) == 3
+        assert "is not a JSON object" in capsys.readouterr().err
+
+    def test_unreadable_run_file_is_runtime_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TORUS_CFG)
+        out = tmp_path / "arc"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        # a run file cut to its magic, with the manifest rehashed to match
+        target = out / "run_e0.2.ckrf"
+        target.write_bytes(b"CKRF1")
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["files"][target.name] = hashlib.sha256(b"CKRF1").hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["verify", "--out", str(out)]) == 3
+        assert "no version byte" in capsys.readouterr().err
 
 
 class TestExport:
