@@ -281,12 +281,12 @@ class BackgroundPack:
 
 
 def build_pack(surface: ModelSurface, divisor: DivisorData | None,
-               params: FlowParams,
-               kappa_perturbation: np.ndarray | None = None) -> BackgroundPack:
+               params: FlowParams) -> BackgroundPack:
     """Assemble the full reference pack for one parameter set.
 
-    ``kappa_perturbation`` is an optional smooth zero-integral density added
-    to the default endpoint representative (the scaled background form).
+    The endpoint is kappa = omega (V + T slope) / V, so omega + t nu =
+    omega (1 + t slope / V) > 0 for t <= T < T_max: only the mixed path
+    through the cone metric needs a positivity check.
     """
     w = surface.area_weight
     volume = surface.total_volume
@@ -303,15 +303,6 @@ def build_pack(surface: ModelSurface, divisor: DivisorData | None,
     slope = class_slope(c1, m, params.gamma, params.eta_degree)
 
     kappa = w * (volume + params.T * slope) / volume
-    if kappa_perturbation is not None:
-        pert = np.asarray(kappa_perturbation, dtype=float)
-        drift = integrate(surface, pert)
-        if abs(drift) > 1e-8 * max(1.0, np.abs(pert).max()):
-            raise CompatibilityError(f"kappa perturbation has integral {drift:.3e}")
-        kappa = kappa + pert
-    if np.any(kappa <= 0.0):
-        nodes = [tuple(ij) for ij in np.argwhere(kappa <= 0.0)[:8]]
-        raise PositivityError("endpoint representative not positive", nodes=nodes)
     nu = (kappa - w) / params.T
     eta = params.eta_degree * w / volume
 
@@ -336,10 +327,6 @@ def build_pack(surface: ModelSurface, divisor: DivisorData | None,
         if np.any(path <= 0.0):
             nodes = [tuple(ij) for ij in np.argwhere(path <= 0.0)[:8]]
             raise PositivityError(f"mixed path loses positivity at t={t:.4f}", nodes=nodes)
-        base = w + t * nu
-        if np.any(base <= 0.0):
-            nodes = [tuple(ij) for ij in np.argwhere(base <= 0.0)[:8]]
-            raise PositivityError(f"reference path loses positivity at t={t:.4f}", nodes=nodes)
 
     return BackgroundPack(
         surface=surface,

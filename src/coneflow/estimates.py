@@ -30,7 +30,6 @@ from .flow import (
     at_checkpoint,
     metric_density_values,
     static_ma_solve,
-    time_reparam,
 )
 from .surfaces import ScalarField, integrate
 
@@ -513,7 +512,9 @@ def check_reparam_ordering(traj_psi: Trajectory, traj_phi: Trajectory,
 
     Both runs are pulled back through u(t) = C e^t psi((1/C)(1 - e^{-t}));
     the transformed ordering and the plain conclusion psi(t) <= phi(t) are
-    both certified.
+    both certified.  The transformed times are tau = -log(1 - C t) at the
+    checkpoints t, which pull back to t itself, so no interpolation enters:
+    the transformed difference there is exactly (C / (1 - C t)) (phi - psi).
     """
     if not (_same_family(traj_psi, traj_phi) and _same_grid(traj_psi, traj_phi)):
         raise ConfigurationError("reparam ordering needs matching configs")
@@ -525,29 +526,26 @@ def check_reparam_ordering(traj_psi: Trajectory, traj_phi: Trajectory,
     if tolerance is None:
         tolerance = 1e-8 + 2.0 * max(truncation_scale(traj_psi),
                                      truncation_scale(traj_phi))
+    if not (traj_psi.snapshots and traj_phi.snapshots):
+        raise ConfigurationError("trajectory has no snapshots to reparametrize")
+    floor = 1.0 / traj_psi.pack.tmax  # 0.0 when T_max is infinite
+    if c_tilde <= floor:
+        raise ConfigurationError(f"C={c_tilde} must exceed 1/T_max={floor:g}")
 
-    view_psi = time_reparam(traj_psi, c_tilde)
-    view_phi = time_reparam(traj_phi, c_tilde)
-
-    margin = np.inf
-    witness = None
+    margin, witness = np.inf, None
+    taus, trans_margin = [], np.inf
     for s_psi, s_phi in zip(traj_psi.snapshots, traj_phi.snapshots):
         diff = s_phi.phi.values - s_psi.phi.values
         low = float(diff[mask].min())
         if low < margin:
             margin = low
             witness = (s_psi.t, _argmin_node(diff, mask))
-
-    taus = []
-    trans_margin = np.inf
-    for s in traj_psi.snapshots:
-        arg = 1.0 - c_tilde * s.t
-        if arg <= 1e-12:
-            break
-        tau = -np.log(arg)
-        taus.append(tau)
-        diff = view_phi.u_values(tau) - view_psi.u_values(tau)
-        trans_margin = min(trans_margin, float(diff[mask].min()))
+        arg = 1.0 - c_tilde * s_psi.t
+        if arg > 1e-12:
+            taus.append(-np.log(arg))
+            trans_margin = min(trans_margin, c_tilde / arg * low)
+    arg = 1.0 - c_tilde * traj_psi.snapshots[-1].t
+    coverage = np.inf if arg <= 0.0 else -np.log(arg)
 
     return EstimateReport(
         estimate_id="reparam_ordering",
@@ -559,7 +557,7 @@ def check_reparam_ordering(traj_psi: Trajectory, traj_phi: Trajectory,
         aux={"transformed_margin": float(trans_margin),
              "plain_margin": float(margin),
              "transformed_times": taus,
-             "coverage": float(view_psi.coverage())},
+             "coverage": float(coverage)},
     )
 
 

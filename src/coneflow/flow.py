@@ -24,8 +24,7 @@ unsymmetric matrices.  That cuts the fill of L + U by a third (167k against
 solve by about 40% at N=128, where the solves dominate a run.
 
 A trajectory records checkpoint snapshots plus per-step scalar series; the
-static solver and the exponential time reparametrization used by the
-long-time certificates live here as well.
+static solver lives here as well.
 """
 
 from __future__ import annotations
@@ -138,24 +137,6 @@ class Trajectory:
 
     def state_at(self, t: float) -> FlowState:
         return self.snapshots[self.checkpoint_index(t)]
-
-    def phi_interp(self, t: float) -> np.ndarray:
-        """Potential at time t, linear between recorded states."""
-        states = [self.initial_state] + self.snapshots
-        times = [s.t for s in states]
-        if t < times[0] - 1e-12 or t > times[-1] + 1e-12:
-            raise ConfigurationError(
-                f"t={t} outside trajectory coverage [{times[0]}, {times[-1]}]"
-            )
-        t = min(max(t, times[0]), times[-1])
-        hi = int(np.searchsorted(times, t))
-        if hi == 0:
-            return states[0].phi.values.copy()
-        if hi >= len(times):
-            return states[-1].phi.values.copy()
-        lo = hi - 1
-        w = (t - times[lo]) / (times[hi] - times[lo])
-        return (1.0 - w) * states[lo].phi.values + w * states[hi].phi.values
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +449,6 @@ def run_flow(pack: BackgroundPack, j: float, phi_j: ScalarField | np.ndarray,
 
 def static_ma_solve(surface: ModelSurface, data_density: np.ndarray,
                     coupling: np.ndarray | float = 0.0,
-                    initial: np.ndarray | None = None,
                     tol: float = 1e-9, max_iters: int = 60) -> ScalarField:
     """Solve density(omega + ddbar u) = e^(u + G) * data by a chord iteration.
 
@@ -490,8 +470,7 @@ def static_ma_solve(surface: ModelSurface, data_density: np.ndarray,
         source = rhs0 * np.exp(vec)
         return w + dd @ vec - source, source
 
-    u = (np.zeros(surface.shape) if initial is None else initial).ravel().copy()
-    u, history, cause = _chord(u, residual,
+    u, history, cause = _chord(np.zeros(w.size), residual,
                                lambda source: dd - sp.diags(source),
                                [None], tol, max_iters, halvings=20)
     if cause is Rejection.ITERATIONS:
@@ -501,44 +480,3 @@ def static_ma_solve(surface: ModelSurface, data_density: np.ndarray,
     if cause is not None:
         raise SolverError("static solve stagnated", residual_history=history)
     return ScalarField(surface, u.reshape(surface.shape), tag="ma_solution")
-
-
-# ---------------------------------------------------------------------------
-# exponential time reparametrization
-
-
-@dataclass(eq=False)
-class ReparamView:
-    """u(t) = C e^t psi((1/C)(1 - e^{-t})) built over a trajectory's psi."""
-
-    trajectory: Trajectory
-    c_tilde: float
-
-    def __post_init__(self):
-        tmax = self.trajectory.pack.tmax
-        floor = 0.0 if np.isinf(tmax) else 1.0 / tmax
-        if self.c_tilde <= floor:
-            raise ConfigurationError(
-                f"C={self.c_tilde} must exceed 1/T_max={floor:g}")
-
-    def pullback_time(self, t: float) -> float:
-        return (1.0 - np.exp(-t)) / self.c_tilde
-
-    def u_values(self, t: float) -> np.ndarray:
-        if t < 0.0:
-            raise ConfigurationError("reparametrized time must be >= 0")
-        s = self.pullback_time(t)
-        psi = self.trajectory.phi_interp(s)
-        return self.c_tilde * np.exp(t) * psi
-
-    def coverage(self) -> float:
-        """Largest reparametrized time the source trajectory supports."""
-        s_max = self.trajectory.snapshots[-1].t
-        arg = 1.0 - self.c_tilde * s_max
-        return np.inf if arg <= 0.0 else -np.log(arg)
-
-
-def time_reparam(trajectory: Trajectory, c_tilde: float) -> ReparamView:
-    if not trajectory.snapshots:
-        raise ConfigurationError("trajectory has no snapshots to reparametrize")
-    return ReparamView(trajectory=trajectory, c_tilde=c_tilde)

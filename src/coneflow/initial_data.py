@@ -51,8 +51,6 @@ class InitialDatum:
     kind: DatumKind
     phi0: ScalarField
     params_used: dict
-    psh_margin: float
-    psh_margin_rel: float
     # nodes excluded from admissibility scans (log poles: the stencil smears
     # the point mass over a few rings, so a chart-radius halo is skipped)
     psh_exclusion: np.ndarray | None = None
@@ -152,7 +150,7 @@ def make_initial(surface: ModelSurface, divisor: DivisorData | None,
         profile = np.where(np.isinf(neglog), np.inf, clamped)
         for _ in range(20):
             values = np.where(np.isinf(profile), -np.inf, -c * profile**alpha + c)
-            absolute, relative = psh_margins(surface, values, mask)
+            _, relative = psh_margins(surface, values, mask)
             if relative >= -1e-6:
                 break
             c *= 0.5
@@ -185,7 +183,7 @@ def make_initial(surface: ModelSurface, divisor: DivisorData | None,
         for coords in divisor.point_coords:
             exclusion |= _chart_radius_grid(surface, coords) < halo
 
-    absolute, relative = psh_margins(surface, values, mask, exclusion)
+    _, relative = psh_margins(surface, values, mask, exclusion)
     if relative < -1e-6:
         raise PositivityError(
             f"{kind.value} datum rejected: relative psh margin {relative:.3e} "
@@ -200,8 +198,6 @@ def make_initial(surface: ModelSurface, divisor: DivisorData | None,
         kind=kind,
         phi0=phi0,
         params_used=params,
-        psh_margin=absolute,
-        psh_margin_rel=relative,
         psh_exclusion=exclusion,
     )
 

@@ -9,20 +9,20 @@ measure of the grid:
 * ``area_weight`` is the density of the background area form ``omega``,
   normalised so the coordinate-cell quadrature of ``area_weight`` equals the
   requested total volume exactly.
-* ``ddbar_density(phi)`` is the density of ``i*ddbar(phi)``; in a conformal
-  chart it equals half the Euclidean Laplacian of ``phi``.  On the sphere the
-  operator is assembled in flux form so its coordinate quadrature vanishes
-  identically (exactness of ``ddbar``) and the matrix is symmetric.
+* ``ddbar_density_values(s, phi)`` is the density of ``i*ddbar(phi)``; in a
+  conformal chart it equals half the Euclidean Laplacian of ``phi``.  On the
+  sphere the operator is assembled in flux form so its coordinate quadrature
+  vanishes identically (exactness of ``ddbar``) and the matrix is symmetric.
 * ``laplacian`` is the metric Laplace-Beltrami operator, defined nodewise as
-  ``2 * ddbar_density(phi) / area_weight`` so the two operators share one
-  stencil.
+  ``2 * ddbar_density_values(s, phi) / area_weight`` so the two operators
+  share one stencil.
 
 Curvature-type densities (Ricci targets, divisor curvature ``theta``) follow
 the integer-degree normalisation: their integrals are degrees (2 for the
 sphere's anticanonical class, the point count for a divisor), which keeps the
 cohomological bookkeeping of the flow free of 2*pi factors.  Potentials feed
-through ``ddbar_density`` in the raw analytic convention; the two conventions
-never need to be interconverted inside the flow equations.
+through ``ddbar_density_values`` in the raw analytic convention; the two
+conventions never need to be interconverted inside the flow equations.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class ModelSurface:
         return np.meshgrid(self.axis0, self.axis1, indexing="ij")
 
     def ddbar_matrix(self) -> sp.csr_matrix:
-        """Sparse matrix of ddbar_density acting on flattened node vectors."""
+        """Sparse matrix of ``ddbar_density_values`` on flattened node vectors."""
         if self._dd_matrix is None:
             self._dd_matrix = _build_dd_matrix(self)
         return self._dd_matrix
@@ -155,10 +155,6 @@ class ScalarField:
             raise ConfigurationError(
                 f"non-finite values at unmasked nodes, first offenders {ij.tolist()}"
             )
-
-    @property
-    def is_singular(self) -> bool:
-        return self.singular_mask is not None and bool(self.singular_mask.any())
 
 
 @dataclass(eq=False)
@@ -254,7 +250,11 @@ def build_surface(kind: SurfaceKind, resolution: int, volume: float) -> ModelSur
 
 
 def ddbar_density_values(surface: ModelSurface, values: np.ndarray) -> np.ndarray:
-    """ddbar density of a raw value array (no finiteness checks)."""
+    """ddbar density of a raw value array (no finiteness checks).
+
+    Rolls, not ``ddbar_matrix() @ v``: they keep y-invariant data exactly
+    y-invariant, which criterion 12's explicit N=64 run needs to stay stable.
+    """
     v = values
     if surface.kind is SurfaceKind.TORUS:
         h = 1.0 / surface.resolution
@@ -283,19 +283,8 @@ def ddbar_density_values(surface: ModelSurface, values: np.ndarray) -> np.ndarra
     return 0.5 * (div + lon)
 
 
-def ddbar_density(field: ScalarField) -> ScalarField:
-    """Density of ``i*ddbar`` of a smooth field (coordinate-measure convention).
-
-    The coordinate quadrature of the result vanishes exactly: the stencil is
-    in divergence form on both surfaces.
-    """
-    _require_smooth(field, "ddbar_density")
-    out = ddbar_density_values(field.surface, field.values)
-    return ScalarField(field.surface, out, tag=f"ddbar({field.tag})")
-
-
 def laplacian(field: ScalarField) -> ScalarField:
-    """Metric Laplacian ``2 * ddbar_density / area_weight`` (same stencil)."""
+    """Metric Laplacian ``2 * ddbar_density_values / area_weight`` (same stencil)."""
     _require_smooth(field, "laplacian")
     s = field.surface
     out = 2.0 * ddbar_density_values(s, field.values) / s.area_weight
@@ -323,7 +312,7 @@ def _require_smooth(f: ScalarField, op: str) -> None:
 
 
 def ddbar_solve_values(surface: ModelSurface, g: np.ndarray) -> np.ndarray:
-    """Solve ``ddbar_density(u) = g - mean(g)`` exactly for the discrete stencil.
+    """Solve ``ddbar_density_values(u) = g - mean(g)`` exactly for the discrete stencil.
 
     Direct spectral/tridiagonal inversion; the residual is at rounding level.
     The coordinate mean of ``g`` is projected out (solvability), and ``u`` is

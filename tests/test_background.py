@@ -395,36 +395,13 @@ def test_pack_rejects_conical_without_divisor(torus):
         build_pack(torus, None, FlowParams(gamma=0.5, epsilon=0.1, k=0.01, T=0.5))
 
 
-def test_pack_kappa_perturbation(sphere, divisor):
-    th, ph = sphere.meshgrid()
-    pert = 0.02 * np.sin(th) * np.sin(ph) * sphere.area_weight
-    pert -= integrate(sphere, pert) / (sphere.cell_area * sphere.resolution**2)
-    k = 0.01
-    pack = build_pack(sphere, divisor,
-                      FlowParams(gamma=0.5, epsilon=0.1, k=k, T=1.0),
-                      kappa_perturbation=pert)
-    # Calabi step sees the perturbed target, so h is no longer flat
-    assert np.abs(pack.h_gamma.values).max() > 1e-6
-    assert abs(integrate(sphere, pack.nu_gamma.values) - pack.slope) < 1e-8
-    with pytest.raises(CompatibilityError):
+def test_pack_mixed_path_guard(sphere, divisor):
+    # omega + T nu is 0.1 omega at T = 1.2, and the k = 0.02 cone metric
+    # dips 11% below omega, so the mixed path goes negative at the horizon
+    with pytest.raises(PositivityError,
+                       match=r"^mixed path loses positivity at t=1\.2000$") as info:
         build_pack(sphere, divisor,
-                   FlowParams(gamma=0.5, epsilon=0.1, k=k, T=1.0),
-                   kappa_perturbation=np.ones(sphere.shape))
-
-
-def test_pack_positivity_guard(sphere, divisor):
-    # a perturbation that drives the endpoint negative somewhere must be
-    # rejected with node locations
-    th, _ = sphere.meshgrid()
-    pert = -np.cos(th) ** 8 * sphere.area_weight * 2.0
-    pert -= integrate(sphere, pert) / (sphere.cell_area * sphere.resolution**2) * 0.0
-    pert -= integrate(sphere, pert) * sphere.area_weight / (
-        integrate(sphere, sphere.area_weight)
-    )
-    with pytest.raises(PositivityError) as info:
-        build_pack(sphere, divisor,
-                   FlowParams(gamma=0.5, epsilon=0.1, k=0.01, T=1.0),
-                   kappa_perturbation=pert)
+                   FlowParams(gamma=0.5, epsilon=0.1, k=0.02, T=1.2))
     assert len(info.value.nodes) > 0
 
 

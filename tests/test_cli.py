@@ -1,4 +1,4 @@
-"""Command-line interface: subcommands, exit codes, output layout."""
+"""Command-line interface: subcommands, exit codes, output layout, exports."""
 import hashlib
 import json
 import os
@@ -309,3 +309,9 @@ def test_readme_library_example(capsys):
     (code,) = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
     exec(compile(code, str(readme), "exec"), {})
     assert capsys.readouterr().out.startswith("PASS upper_barrier")
+
+
+def test_package_exports_resolve():
+    # a name in __all__ that does not resolve makes this raise AttributeError
+    exec("from coneflow import *", {})
+    assert not {"ddbar_density", "time_reparam"} & set(dir(coneflow))

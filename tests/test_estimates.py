@@ -334,6 +334,61 @@ def test_reparam_ordering_frozen(sphere_lab):
         est.check_reparam_ordering(phi, psi, 0.9)
 
 
+def reference_transformed_margin(traj_psi, traj_phi, c_tilde):
+    """The exponential-clock view written out, interpolation and all.
+
+    u(tau) = C e^tau psi(s) with s = (1 - e^-tau)/C and psi linear between
+    recorded states; the margin is the minimum of u_phi - u_psi over the scan
+    mask at tau = -log(1 - C t) for the checkpoints t with 1 - C t > 1e-12.
+    """
+    mask = est.scan_mask(traj_psi) & est.scan_mask(traj_phi)
+
+    def u_values(traj, tau):
+        states = [traj.initial_state] + traj.snapshots
+        times = [state.t for state in states]
+        s = min(max((1.0 - np.exp(-tau)) / c_tilde, times[0]), times[-1])
+        hi = int(np.searchsorted(times, s))
+        if hi == 0:
+            psi = states[0].phi.values
+        elif hi == len(times):
+            psi = states[-1].phi.values
+        else:
+            w = (s - times[hi - 1]) / (times[hi] - times[hi - 1])
+            psi = (1.0 - w) * states[hi - 1].phi.values + w * states[hi].phi.values
+        return c_tilde * np.exp(tau) * psi
+
+    margin = np.inf
+    for state in traj_psi.snapshots:
+        arg = 1.0 - c_tilde * state.t
+        if arg <= 1e-12:
+            break
+        tau = -np.log(arg)
+        diff = u_values(traj_phi, tau) - u_values(traj_psi, tau)
+        margin = min(margin, float(diff[mask].min()))
+    return margin
+
+
+@pytest.mark.parametrize("psi_key, phi_key", [((0.1, 8.0), (0.1, 2.0)),
+                                              ((0.2, 8.0), (0.2, 4.0))],
+                         ids=["eps0.1", "eps0.2"])
+def test_reparam_transformed_margin_matches_view(sphere_lab, psi_key, phi_key):
+    psi, phi = sphere_lab["runs"][psi_key], sphere_lab["runs"][phi_key]
+    rep = est.check_reparam_ordering(psi, phi, 0.9)
+    expect = reference_transformed_margin(psi, phi, 0.9)
+    assert rep.aux["transformed_margin"] == pytest.approx(expect, rel=1e-9)
+
+
+def test_reparam_ordering_validation(sphere_lab):
+    psi, phi = sphere_lab["runs"][(0.1, 8.0)], sphere_lab["runs"][(0.1, 2.0)]
+    with pytest.raises(ConfigurationError, match="exceed"):
+        est.check_reparam_ordering(psi, phi, 0.5)  # 1/T_max = 0.75 here
+    with pytest.raises(ConfigurationError, match="no snapshots"):
+        est.check_reparam_ordering(dataclasses.replace(psi, snapshots=[]),
+                                   dataclasses.replace(phi, snapshots=[]), 0.9)
+    # C * t_end = 1.5 > 1: the clock covers all reparametrized time
+    assert np.isinf(est.check_reparam_ordering(psi, phi, 1.5).aux["coverage"])
+
+
 def test_l1_trio_frozen(l1_lab):
     frozen = {
         "smooth": 5.722928495104e-04,

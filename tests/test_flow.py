@@ -1,4 +1,4 @@
-"""Stepper, trajectory driver, static solver, and reparametrization tests."""
+"""Steppers, run_flow and the static solver."""
 
 import dataclasses
 
@@ -17,7 +17,6 @@ from coneflow.flow import (
     metric_density_values,
     run_flow,
     static_ma_solve,
-    time_reparam,
 )
 from coneflow.surfaces import (
     ScalarField,
@@ -454,59 +453,3 @@ def test_static_validation_and_failure():
     with pytest.raises(SolverError) as err:
         static_ma_solve(torus, torus.area_weight, g, max_iters=1)
     assert err.value.residual_history
-
-
-# ---------------------------------------------------------------------------
-# time reparametrization
-
-
-def test_reparam_initial_value(sphere_traj):
-    view = time_reparam(sphere_traj, c_tilde=1.0)
-    expect = 1.0 * sphere_traj.initial_state.phi.values
-    assert np.abs(view.u_values(0.0) - expect).max() == 0.0
-
-
-def test_reparam_constant_psi(torus, torus_pack):
-    traj = run_flow(torus_pack, 0.0, 0.4 * np.ones(torus.shape), StepControl(),
-                    [0.05, 0.1])
-    view = time_reparam(traj, c_tilde=2.0)
-    for t in (0.0, 0.1, 0.2):
-        expect = 2.0 * np.exp(t) * 0.4
-        assert np.abs(view.u_values(t) - expect).max() <= 1e-10
-
-
-def test_reparam_chain_rule(sphere_traj, sphere_pack):
-    # d/dt u = u + phi_dot at the pulled-back time, up to interpolation error
-    view = time_reparam(sphere_traj, c_tilde=1.5)
-    t = 0.25
-    delta = 1e-4
-    du = (view.u_values(t + delta) - view.u_values(t - delta)) / (2 * delta)
-    s = view.pullback_time(t)
-    psi_dot = flow_rhs_values(sphere_pack, s, view.trajectory.phi_interp(s))
-    target = view.u_values(t) + psi_dot
-    assert np.abs(du - target).max() <= 0.05
-
-
-def test_reparam_validation(sphere_traj):
-    with pytest.raises(ConfigurationError, match="exceed"):
-        time_reparam(sphere_traj, c_tilde=0.5)  # 1/T_max = 0.75 here
-    # finite coverage needs c_tilde * s_max < 1; here s_max = 1.0
-    view = time_reparam(sphere_traj, c_tilde=0.9)
-    with pytest.raises(ConfigurationError):
-        view.u_values(-0.1)
-    cov = view.coverage()
-    assert np.isfinite(cov) and cov > 0
-    with pytest.raises(ConfigurationError, match="coverage"):
-        view.u_values(cov + 1.0)
-    assert np.isinf(time_reparam(sphere_traj, c_tilde=1.5).coverage())
-
-
-def test_phi_interp_linearity(torus, torus_pack):
-    x, _ = torus.meshgrid()
-    phi0 = 0.005 * np.cos(2 * np.pi * x)
-    traj = run_flow(torus_pack, 0.0, phi0, StepControl(), [0.02, 0.04])
-    mid = traj.phi_interp(0.03)
-    expect = 0.5 * (traj.snapshots[0].phi.values + traj.snapshots[1].phi.values)
-    assert np.abs(mid - expect).max() <= 1e-14
-    with pytest.raises(ConfigurationError, match="coverage"):
-        traj.phi_interp(0.1)
