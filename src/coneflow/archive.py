@@ -164,9 +164,20 @@ def save_run(directory, traj: Trajectory) -> str:
 def load_run(path, packs: dict) -> Trajectory:
     """Rebuild a trajectory against the already-built pack of its eps.
 
-    ``packs`` maps eps to background pack, as ``Lab.packs`` does.
+    ``packs`` maps eps to background pack, as ``Lab.packs`` does.  A frame
+    that is missing or does not decode raises ``ArchiveError``.
     """
     fr = read_frames(path)
+    try:
+        return _trajectory(path, fr, packs)
+    except ArchiveError:
+        raise
+    except (KeyError, IndexError, AttributeError, TypeError, ValueError) as exc:
+        raise ArchiveError(
+            f"{Path(path).name}: missing or malformed frame: {exc!r}") from exc
+
+
+def _trajectory(path, fr: dict, packs: dict) -> Trajectory:
     pack = packs.get(float(fr["eps"]))
     if pack is None:
         raise ArchiveError(

@@ -21,6 +21,7 @@ lower one, so it plays the ordered-data role in comparisons.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -124,8 +125,12 @@ def run_verification(arc, selection, scale: float = 1.0,
     """EstimateReports of each (estimate id, params) selection, in order.
 
     ``strict`` raises when the needed run family is absent; the default
-    battery passes strict=False and skips instead.
+    battery passes strict=False and skips instead.  ``scale`` multiplies
+    every tolerance; it must be finite and >= 0 (0 demands margin >= 0).
     """
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ConfigurationError(
+            f"tolerance scale must be finite and >= 0, got {scale}")
     runs = sorted(arc.trajectories.values(), key=lambda tr: tr.run_id)
     if selection and not runs:
         raise ConfigurationError("archive holds no successful runs")

@@ -321,9 +321,11 @@ def parse_config(text: str) -> RunConfig:
     checkpoints = c.get("times", _floats,
                         default=sorted(T * 2.0 ** (-m) for m in range(6)))
     c.reject_unknown()
+    if not checkpoints:
+        _fail(c.lineno("times"), "checkpoint list is empty")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         _fail(c.lineno("times"), "checkpoint times must be strictly increasing")
-    if checkpoints and (checkpoints[0] <= 0.0 or checkpoints[-1] > T):
+    if checkpoints[0] <= 0.0 or checkpoints[-1] > T:
         _fail(c.lineno("times"), f"checkpoint times must lie in (0, T={T}]")
 
     v = sec["verify"]

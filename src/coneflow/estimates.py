@@ -2,8 +2,9 @@
 
 Each checker turns one proved inequality into a margin over a trajectory
 or a family of trajectories: margin >= 0 means the discrete run satisfies
-the estimate, and ``passed`` allows a configurable tolerance for scheme
-truncation.  Constants that the proofs construct explicitly are recomputed
+the estimate, and ``passed`` allows each checker's fixed tolerance for
+scheme truncation; scaling ``EstimateReport.tolerance`` loosens or tightens
+it.  Constants that the proofs construct explicitly are recomputed
 from the background pack ("pack" mode); constants the proofs only assert
 to exist are fitted at one sample and then verified globally ("fitted"
 mode).  Every report records which mode produced its constant.
@@ -11,12 +12,13 @@ mode).  Every report records which mode produced its constant.
 Checkers are pure functions of recorded trajectories; nothing here
 re-integrates the flow.  ``ESTIMATES`` maps each estimate id to the shape of
 the run family it reads, its checker, and whether it is in the default
-battery.
+battery; the docstring after it says what each entry certifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -36,6 +38,10 @@ from .surfaces import ScalarField, integrate
 N_DIM = 1  # complex dimension of the model surfaces
 
 DEFAULT_TOLERANCE = 1e-6
+MONOTONE_EPS_TOLERANCE = 1e-5
+DENSITY_DRIFT = 0.05        # density_ratio: allowed rise of C(t0) per step
+L1_LEVELS = 6               # l1_convergence: dyadic times t_top 2^-m, m < 6
+SIGNATURE_GROWTH = 1.25     # signature: ratio growth per eps-halving
 
 
 @dataclass(eq=False)
@@ -113,16 +119,35 @@ def _same_grid(a: Trajectory, b: Trajectory) -> bool:
         at_checkpoint(y, x) for x, y in zip(ta, tb))
 
 
-def _argmax_node(values: np.ndarray, mask: np.ndarray):
-    masked = np.where(mask, values, -np.inf)
-    return tuple(int(v) for v in np.unravel_index(int(np.argmax(masked)),
-                                                  values.shape))
+def _pair_tolerance(a: Trajectory, b: Trajectory) -> float:
+    return 1e-8 + 2.0 * max(truncation_scale(a), truncation_scale(b))
 
 
-def _argmin_node(values: np.ndarray, mask: np.ndarray):
-    masked = np.where(mask, values, np.inf)
-    return tuple(int(v) for v in np.unravel_index(int(np.argmin(masked)),
-                                                  values.shape))
+def _scan(samples, mask: np.ndarray):
+    """margin, witness and per-sample maxima of one nodewise certificate.
+
+    ``samples`` yields (t, bound, q): the certificate is q <= bound on the
+    masked nodes at time t.  margin = min over samples of bound - max q[mask];
+    witness = (t, node) of the first sample that strictly lowers it; ``tops``
+    lists each sample's max q[mask].  A lower bound 0 <= v goes in as
+    (t, 0.0, -v): negation is exact, so 0.0 - max(-v) is min(v) bit for bit
+    (a -0.0 minimum reads +0.0), and argmax(-v) is the first argmin of v.
+    """
+    margin, witness, tops = np.inf, None, []
+    for t, bound, q in samples:
+        top = float(q[mask].max())
+        tops.append(top)
+        gap = bound - top
+        if gap < margin:
+            margin = gap
+            node = np.argmax(np.where(mask, q, -np.inf))
+            witness = (t, tuple(int(v) for v in np.unravel_index(node, q.shape)))
+    return margin, witness, tops
+
+
+def _osc(values: np.ndarray, mask: np.ndarray) -> float:
+    sel = values[mask]
+    return float(sel.max() - sel.min())
 
 
 def barrier_slope_constant(pack: BackgroundPack, t0: float, t_end: float,
@@ -145,8 +170,7 @@ def barrier_slope_constant(pack: BackgroundPack, t0: float, t_end: float,
 # barriers
 
 
-def _check_barrier(traj: Trajectory, t0: float, sign: float,
-                   tolerance: float) -> EstimateReport:
+def _check_barrier(traj: Trajectory, t0: float, sign: float) -> EstimateReport:
     """Upper (sign=+1) or lower (sign=-1) barrier, one body for both: the
     sup of sign*(phi + k chi) rises from its value at t0 by at most
     C (t - t0)."""
@@ -162,17 +186,9 @@ def _check_barrier(traj: Trajectory, t0: float, sign: float,
     sup0 = float((sign * tc_potential_values(traj, traj.snapshots[idx]))[mask]
                  .max())
 
-    margin = np.inf
-    witness = None
-    sups = []
-    for s in later:
-        values = sign * tc_potential_values(traj, s)
-        sup_t = float(values[mask].max())
-        sups.append(sup_t)
-        gap = sup0 + C * (s.t - t0) - sup_t
-        if gap < margin:
-            margin = gap
-            witness = (s.t, _argmax_node(values, mask))
+    margin, witness, sups = _scan(
+        ((s.t, sup0 + C * (s.t - t0), sign * tc_potential_values(traj, s))
+         for s in later), mask)
     ext = "sup" if sign > 0 else "inf"
     return EstimateReport(
         estimate_id=estimate_id,
@@ -180,31 +196,28 @@ def _check_barrier(traj: Trajectory, t0: float, sign: float,
         parameters={"t0": t0, "C": C, "constant_mode": "pack"},
         margin=float(margin),
         witness=witness,
-        tolerance=tolerance,
+        tolerance=DEFAULT_TOLERANCE,
         aux={f"{ext}_at_t0": sign * sup0,
              f"{ext}_series": [sign * v for v in sups],
              "times": [s.t for s in later]},
     )
 
 
-def check_upper_barrier(traj: Trajectory, t0: float,
-                        tolerance: float = DEFAULT_TOLERANCE) -> EstimateReport:
+def check_upper_barrier(traj: Trajectory, t0: float) -> EstimateReport:
     """sup phi(t) <= sup phi(t0) + C (t - t0), with C computed from the pack."""
-    return _check_barrier(traj, t0, 1.0, tolerance)
+    return _check_barrier(traj, t0, 1.0)
 
 
-def check_lower_barrier(traj: Trajectory, t0: float,
-                        tolerance: float = DEFAULT_TOLERANCE) -> EstimateReport:
+def check_lower_barrier(traj: Trajectory, t0: float) -> EstimateReport:
     """inf phi(t) >= inf phi(t0) - C (t - t0), mirror of the upper barrier."""
-    return _check_barrier(traj, t0, -1.0, tolerance)
+    return _check_barrier(traj, t0, -1.0)
 
 
 # ---------------------------------------------------------------------------
 # velocity bounds
 
 
-def check_hstat(traj: Trajectory, t0: float | None = None,
-                tolerance: float = DEFAULT_TOLERANCE) -> EstimateReport:
+def check_hstat(traj: Trajectory, t0: float | None = None) -> EstimateReport:
     """H = t phi_dot - (phi(t) - phi(0)) - n t stays <= 0 along the flow.
 
     margin = -max H.  Also emits the equivalent velocity bound
@@ -216,19 +229,15 @@ def check_hstat(traj: Trajectory, t0: float | None = None,
         raise ConfigurationError("hstat needs at least one checkpoint")
     mask = scan_mask(traj)
     phi_init = tc_potential_values(traj, traj.initial_state)
-
-    h_max = -np.inf
-    witness = None
-    derived_margin = np.inf
-    for s in traj.snapshots:
-        tc = tc_potential_values(traj, s)
-        h_vals = s.t * s.phi_dot.values - (tc - phi_init) - N_DIM * s.t
-        top = float(h_vals[mask].max())
-        if top > h_max:
-            h_max = top
-            witness = (s.t, _argmax_node(h_vals, mask))
-        derived = (tc - phi_init) / s.t + N_DIM - s.phi_dot.values
-        derived_margin = min(derived_margin, float(derived[mask].min()))
+    rises = [(s, tc_potential_values(traj, s) - phi_init)
+             for s in traj.snapshots]
+    _, witness, tops = _scan(
+        ((s.t, 0.0, s.t * s.phi_dot.values - rise - N_DIM * s.t)
+         for s, rise in rises), mask)
+    h_max = max(tops)
+    derived_margin, _, _ = _scan(
+        ((s.t, 0.0, -(rise / s.t + N_DIM - s.phi_dot.values))
+         for s, rise in rises), mask)
 
     t0_r = traj.snapshots[0].t if t0 is None else t0
     idx0 = traj.checkpoint_index(t0_r)
@@ -237,27 +246,25 @@ def check_hstat(traj: Trajectory, t0: float | None = None,
     if idx0 + 1 < len(traj.snapshots):
         c_bar = barrier_slope_constant(traj.pack, t0_r, t_end, sign=1.0)
         c_rem = (c_bar + N_DIM) * (t_end - t0_r)
-        tc0 = tc_potential_values(traj, traj.snapshots[idx0])
-        osc0 = float(tc0[mask].max() - tc0[mask].min())
-        for s in traj.snapshots[idx0 + 1:]:
-            bound = (osc0 + c_rem) / (s.t - t0_r)
-            gap = bound - float(s.phi_dot.values[mask].max())
-            remark_margin = min(remark_margin, gap)
+        osc0 = _osc(tc_potential_values(traj, traj.snapshots[idx0]), mask)
+        remark_margin, _, _ = _scan(
+            ((s.t, (osc0 + c_rem) / (s.t - t0_r), s.phi_dot.values)
+             for s in traj.snapshots[idx0 + 1:]), mask)
 
     return EstimateReport(
         estimate_id="hstat",
         run_ids=(traj.run_id,),
         parameters={"t0": t0_r, "constant_mode": "pack"},
-        margin=float(-h_max),
+        margin=-h_max,
         witness=witness,
-        tolerance=tolerance,
-        aux={"max_H": float(h_max), "derived_margin": float(derived_margin),
+        tolerance=DEFAULT_TOLERANCE,
+        aux={"max_H": h_max, "derived_margin": float(derived_margin),
              "remark_margin": float(remark_margin)},
     )
 
 
-def check_phidot_lower(traj: Trajectory, t0: float, Tprime: float,
-                       tolerance: float = DEFAULT_TOLERANCE) -> EstimateReport:
+def check_phidot_lower(traj: Trajectory, t0: float,
+                       Tprime: float) -> EstimateReport:
     """phi_dot >= n log(t - t0) - A osc(t0) - C on (t0, T'].
 
     A = 2/(T - T'); C is fitted as the smallest constant making the bound
@@ -270,12 +277,8 @@ def check_phidot_lower(traj: Trajectory, t0: float, Tprime: float,
         raise ConfigurationError(
             f"need 0 <= t0 < T' < T, got t0={t0}, T'={Tprime}, T={T}")
     mask = scan_mask(traj)
-    if t0 == 0.0:
-        state0 = traj.initial_state
-    else:
-        state0 = traj.state_at(t0)
-    tc0 = tc_potential_values(traj, state0)
-    osc0 = float(tc0[mask].max() - tc0[mask].min())
+    state0 = traj.initial_state if t0 == 0.0 else traj.state_at(t0)
+    osc0 = _osc(tc_potential_values(traj, state0), mask)
     A = 2.0 / (T - Tprime)
 
     samples = [s for s in traj.snapshots if t0 + 1e-13 < s.t <= Tprime + 1e-12]
@@ -285,15 +288,9 @@ def check_phidot_lower(traj: Trajectory, t0: float, Tprime: float,
     inf_dot = float(first.phi_dot.values[mask].min())
     c_fit = max(0.0, N_DIM * np.log(first.t - t0) - A * osc0 - inf_dot)
 
-    margin = np.inf
-    witness = None
-    for s in samples:
-        vals = (s.phi_dot.values - N_DIM * np.log(s.t - t0)
-                + A * osc0 + c_fit)
-        low = float(vals[mask].min())
-        if low < margin:
-            margin = low
-            witness = (s.t, _argmin_node(vals, mask))
+    margin, witness, _ = _scan(
+        ((s.t, 0.0, -(s.phi_dot.values - N_DIM * np.log(s.t - t0)
+                      + A * osc0 + c_fit)) for s in samples), mask)
     return EstimateReport(
         estimate_id="phidot_lower",
         run_ids=(traj.run_id,),
@@ -301,7 +298,7 @@ def check_phidot_lower(traj: Trajectory, t0: float, Tprime: float,
                     "constant_mode": "fitted"},
         margin=float(margin),
         witness=witness,
-        tolerance=tolerance,
+        tolerance=DEFAULT_TOLERANCE,
         aux={"osc_at_t0": osc0, "fit_time": first.t},
     )
 
@@ -310,8 +307,7 @@ def check_phidot_lower(traj: Trajectory, t0: float, Tprime: float,
 # oscillation and metric equivalence
 
 
-def check_osc(trajs, times=None, rel_tol: float = 0.05,
-              tolerance: float = DEFAULT_TOLERANCE) -> EstimateReport:
+def check_osc(trajs, times=None, rel_tol: float = 0.05) -> EstimateReport:
     """j-uniformity of the oscillation at fixed times.
 
     For each requested time the spread of osc across the family must stay
@@ -334,11 +330,8 @@ def check_osc(trajs, times=None, rel_tol: float = 0.05,
     margin = np.inf
     witness = None
     for t in times:
-        oscs = []
-        for traj in trajs:
-            mask = scan_mask(traj)
-            tc = tc_potential_values(traj, traj.state_at(t))
-            oscs.append(float(tc[mask].max() - tc[mask].min()))
+        oscs = [_osc(tc_potential_values(traj, traj.state_at(t)),
+                     scan_mask(traj)) for traj in trajs]
         ref = max(oscs)
         spread = ref - min(oscs)
         osc_table[t] = oscs
@@ -353,18 +346,17 @@ def check_osc(trajs, times=None, rel_tol: float = 0.05,
                     "j_values": [traj.j for traj in trajs]},
         margin=float(margin),
         witness=witness,
-        tolerance=tolerance,
+        tolerance=DEFAULT_TOLERANCE,
         aux={"osc_table": osc_table},
     )
 
 
-def check_density_ratio(traj: Trajectory, t0: float, rel_drift: float = 0.05,
-                        tolerance: float = DEFAULT_TOLERANCE) -> EstimateReport:
+def check_density_ratio(traj: Trajectory, t0: float) -> EstimateReport:
     """Finite two-sided metric equivalence constant, improving in t0.
 
     R(t) = density(omega(t)) / density(reference cone metric) nodewise;
     C(t0) = sup over [t0, T] of max(R, 1/R) must be finite, and moving t0
-    forward may not increase C by more than rel_drift.
+    forward may not increase C by more than ``DENSITY_DRIFT``.
     """
     idx = traj.checkpoint_index(t0)
     mask = scan_mask(traj)
@@ -380,45 +372,32 @@ def check_density_ratio(traj: Trajectory, t0: float, rel_drift: float = 0.05,
         per_time.append((s.t, low, high))
     finite = all(low > 0.0 and np.isfinite(high) for _, low, high in per_time)
 
-    c_of_t0 = []
-    for i in range(len(per_time)):
-        tail = per_time[i:]
-        if finite:
-            c = max(max(h, 1.0 / lo) for _, lo, h in tail)
-        else:
-            c = np.inf
-        c_of_t0.append(c)
-
     if not finite:
-        margin = -np.inf
-        witness = (per_time[0][0], None)
-    elif len(c_of_t0) < 2:
-        margin = np.inf
-        witness = None
-    else:
-        margin = np.inf
-        witness = None
-        for i in range(len(c_of_t0) - 1):
-            gap = (1.0 + rel_drift) * c_of_t0[i] - c_of_t0[i + 1]
+        c_of_t0 = [np.inf] * len(per_time)
+        margin, witness = -np.inf, (window[0].t, None)
+    else:  # suffix maxima, as Python floats
+        c_of_t0 = list(accumulate(
+            (max(h, 1.0 / lo) for _, lo, h in reversed(per_time)), max))[::-1]
+        margin, witness = np.inf, None
+        for s, c, c_next in zip(window[1:], c_of_t0, c_of_t0[1:]):
+            gap = (1.0 + DENSITY_DRIFT) * c - c_next
             if gap < margin:
-                margin = gap
-                witness = (window[i + 1].t, None)
+                margin, witness = gap, (s.t, None)
     return EstimateReport(
         estimate_id="density_ratio",
         run_ids=(traj.run_id,),
-        parameters={"t0": t0, "rel_drift": rel_drift, "C": c_of_t0[0],
+        parameters={"t0": t0, "rel_drift": DENSITY_DRIFT, "C": c_of_t0[0],
                     "constant_mode": "pack"},
         margin=float(margin),
         witness=witness,
-        tolerance=tolerance,
+        tolerance=DEFAULT_TOLERANCE,
         aux={"C_of_t0": c_of_t0,
              "t0_grid": [s.t for s in window],
              "ratio_bounds": per_time},
     )
 
 
-def check_monotone_eps(trajs, t: float,
-                       tolerance: float = 1e-5) -> EstimateReport:
+def check_monotone_eps(trajs, t: float) -> EstimateReport:
     """The unreduced potential decreases as epsilon decreases, nodewise."""
     trajs = list(trajs)
     if len(trajs) < 2:
@@ -439,24 +418,16 @@ def check_monotone_eps(trajs, t: float,
         mask = mask & scan_mask(other)
     fields = [tc_potential_values(traj, traj.state_at(t)) for traj in trajs]
 
-    margin = np.inf
-    witness = None
-    pair_margins = []
-    for i in range(len(fields) - 1):
-        diff = fields[i] - fields[i + 1]
-        low = float(diff[mask].min())
-        pair_margins.append(low)
-        if low < margin:
-            margin = low
-            witness = (t, _argmin_node(diff, mask))
+    margin, witness, tops = _scan(
+        ((t, 0.0, -(a - b)) for a, b in zip(fields, fields[1:])), mask)
     return EstimateReport(
         estimate_id="monotone_eps",
         run_ids=tuple(traj.run_id for traj in trajs),
         parameters={"t": t, "eps_list": eps},
         margin=float(margin),
         witness=witness,
-        tolerance=tolerance,
-        aux={"pair_margins": pair_margins},
+        tolerance=MONOTONE_EPS_TOLERANCE,
+        aux={"pair_margins": [-top for top in tops]},
     )
 
 
@@ -464,8 +435,7 @@ def check_monotone_eps(trajs, t: float,
 # comparison principle and ordering
 
 
-def check_comparison(traj_u: Trajectory, traj_v: Trajectory,
-                     tolerance: float | None = None) -> EstimateReport:
+def check_comparison(traj_u: Trajectory, traj_v: Trajectory) -> EstimateReport:
     """sup_X(u(t) - v(t)) never exceeds sup_X(u0 - v0), up to scheme slack.
 
     margin = -drift: the initial sup gap minus its largest later value.
@@ -474,9 +444,6 @@ def check_comparison(traj_u: Trajectory, traj_v: Trajectory,
     """
     if not (_same_family(traj_u, traj_v) and _same_grid(traj_u, traj_v)):
         raise ConfigurationError("comparison needs matching configs")
-    if tolerance is None:
-        tolerance = 1e-8 + 2.0 * max(truncation_scale(traj_u),
-                                     truncation_scale(traj_v))
     mask = scan_mask(traj_u) & scan_mask(traj_v)
 
     states_u = [traj_u.initial_state] + traj_u.snapshots
@@ -498,7 +465,7 @@ def check_comparison(traj_u: Trajectory, traj_v: Trajectory,
         parameters={},
         margin=margin,
         witness=witness,
-        tolerance=float(tolerance),
+        tolerance=_pair_tolerance(traj_u, traj_v),
         aux={"times": np.array(times), "sup_gap_series": sups,
              "inf_gap_series": np.array(infs),
              "initial_sup_gap": float(sups[0])},
@@ -506,8 +473,7 @@ def check_comparison(traj_u: Trajectory, traj_v: Trajectory,
 
 
 def check_reparam_ordering(traj_psi: Trajectory, traj_phi: Trajectory,
-                           c_tilde: float,
-                           tolerance: float | None = None) -> EstimateReport:
+                           c_tilde: float) -> EstimateReport:
     """Ordered initial data stay ordered, seen through the exponential clock.
 
     Both runs are pulled back through u(t) = C e^t psi((1/C)(1 - e^{-t}));
@@ -523,27 +489,22 @@ def check_reparam_ordering(traj_psi: Trajectory, traj_phi: Trajectory,
     if float(gap0[mask].max()) > 1e-12:
         raise ConfigurationError(
             "initial ordering violated: psi0 must be <= phi0")
-    if tolerance is None:
-        tolerance = 1e-8 + 2.0 * max(truncation_scale(traj_psi),
-                                     truncation_scale(traj_phi))
     if not (traj_psi.snapshots and traj_phi.snapshots):
         raise ConfigurationError("trajectory has no snapshots to reparametrize")
     floor = 1.0 / traj_psi.pack.tmax  # 0.0 when T_max is infinite
     if c_tilde <= floor:
         raise ConfigurationError(f"C={c_tilde} must exceed 1/T_max={floor:g}")
 
-    margin, witness = np.inf, None
+    margin, witness, tops = _scan(
+        ((s_psi.t, 0.0, -(s_phi.phi.values - s_psi.phi.values))
+         for s_psi, s_phi in zip(traj_psi.snapshots, traj_phi.snapshots)),
+        mask)
     taus, trans_margin = [], np.inf
-    for s_psi, s_phi in zip(traj_psi.snapshots, traj_phi.snapshots):
-        diff = s_phi.phi.values - s_psi.phi.values
-        low = float(diff[mask].min())
-        if low < margin:
-            margin = low
-            witness = (s_psi.t, _argmin_node(diff, mask))
+    for s_psi, top in zip(traj_psi.snapshots, tops):
         arg = 1.0 - c_tilde * s_psi.t
         if arg > 1e-12:
             taus.append(-np.log(arg))
-            trans_margin = min(trans_margin, c_tilde / arg * low)
+            trans_margin = min(trans_margin, c_tilde / arg * -top)
     arg = 1.0 - c_tilde * traj_psi.snapshots[-1].t
     coverage = np.inf if arg <= 0.0 else -np.log(arg)
 
@@ -553,7 +514,7 @@ def check_reparam_ordering(traj_psi: Trajectory, traj_phi: Trajectory,
         parameters={"c_tilde": c_tilde},
         margin=float(min(margin, trans_margin)),
         witness=witness,
-        tolerance=float(tolerance),
+        tolerance=_pair_tolerance(traj_psi, traj_phi),
         aux={"transformed_margin": float(trans_margin),
              "plain_margin": float(margin),
              "transformed_times": taus,
@@ -565,9 +526,7 @@ def check_reparam_ordering(traj_psi: Trajectory, traj_phi: Trajectory,
 # small-time behaviour
 
 
-def check_lower_envelope(traj: Trajectory, l: float,
-                         tolerance: float = DEFAULT_TOLERANCE,
-                         static_tol: float = 1e-9) -> EstimateReport:
+def check_lower_envelope(traj: Trajectory, l: float) -> EstimateReport:
     """phi(t) >= (1 - 2lt) phi(0) - Ct + n(t log t - t) for small t.
 
     C is the sup-norm of the static reference solve
@@ -592,7 +551,7 @@ def check_lower_envelope(traj: Trajectory, l: float,
         data = surface.area_weight / weight
     else:
         data = surface.area_weight.copy()
-    static = static_ma_solve(surface, data, coupling=coupling, tol=static_tol)
+    static = static_ma_solve(surface, data, coupling=coupling)
     C = float(np.abs(static.values).max())
 
     cutoff = 0.5 / l
@@ -601,23 +560,16 @@ def check_lower_envelope(traj: Trajectory, l: float,
         raise ConfigurationError(
             f"no checkpoints inside (0, {cutoff:g}) to test the envelope")
 
-    margin = np.inf
-    witness = None
-    sub_margin = np.inf
-    for s in samples:
-        tc = tc_potential_values(traj, s)
-        t = s.t
-        envelope = ((1.0 - 2.0 * l * t) * phi_init - C * t
-                    + N_DIM * (t * np.log(t) - t))
-        gap = tc - envelope
-        low = float(gap[mask].min())
-        if low < margin:
-            margin = low
-            witness = (t, _argmin_node(gap, mask))
-        # sharper intermediate: the explicit subsolution itself sits below
-        psi_t = ((1.0 - 2.0 * l * t) * phi_init + t * static.values
-                 + N_DIM * (t * np.log(t) - t))
-        sub_margin = min(sub_margin, float((tc - psi_t)[mask].min()))
+    def curve(t, drift):
+        return ((1.0 - 2.0 * l * t) * phi_init + drift
+                + N_DIM * (t * np.log(t) - t))
+
+    tcs = [(s.t, tc_potential_values(traj, s)) for s in samples]
+    margin, witness, _ = _scan(
+        ((t, 0.0, -(tc - curve(t, -C * t))) for t, tc in tcs), mask)
+    # sharper intermediate: the explicit subsolution itself sits below
+    sub_margin, _, _ = _scan(
+        ((t, 0.0, -(tc - curve(t, t * static.values))) for t, tc in tcs), mask)
 
     return EstimateReport(
         estimate_id="lower_envelope",
@@ -625,7 +577,7 @@ def check_lower_envelope(traj: Trajectory, l: float,
         parameters={"l": l, "C": C, "constant_mode": "pack"},
         margin=float(margin),
         witness=witness,
-        tolerance=tolerance,
+        tolerance=DEFAULT_TOLERANCE,
         aux={"static_sup_norm": C,
              "subsolution_margin": float(sub_margin),
              "times": [s.t for s in samples]},
@@ -633,10 +585,9 @@ def check_lower_envelope(traj: Trajectory, l: float,
 
 
 def check_l1_convergence(traj: Trajectory, phi0,
-                         t_top: float = 0.2, levels: int = 6,
-                         tol_l1: float | None = None,
-                         tolerance: float = DEFAULT_TOLERANCE) -> EstimateReport:
-    """|| phi(t_m) - phi0 ||_L1 decreases along t_m = t_top 2^-m and ends small.
+                         t_top: float = 0.2) -> EstimateReport:
+    """|| phi(t_m) - phi0 ||_L1 decreases along t_m = t_top 2^-m, m < 6, and
+    ends below 1e-2 ||phi0||_L1 + 1e-3 V.
 
     Nodes where phi0 is singular carry no L1 mass on the grid and are left
     out of the distance.
@@ -646,7 +597,7 @@ def check_l1_convergence(traj: Trajectory, phi0,
     vals0 = phi0.values if isinstance(phi0, ScalarField) else np.asarray(phi0)
     finite = np.isfinite(vals0)
 
-    times = [t_top * 2.0 ** (-m) for m in range(levels)]
+    times = [t_top * 2.0 ** (-m) for m in range(L1_LEVELS)]
     try:
         states = [traj.state_at(t) for t in times]
     except ConfigurationError as exc:
@@ -662,8 +613,7 @@ def check_l1_convergence(traj: Trajectory, phi0,
     norm0 = l1(vals0)
     volume = integrate(surface, np.ones(surface.shape),
                        against_area_weight=True)
-    if tol_l1 is None:
-        tol_l1 = 1e-2 * norm0 + 1e-3 * volume
+    tol_l1 = 1e-2 * norm0 + 1e-3 * volume
 
     dec = [distances[m] - distances[m + 1] for m in range(len(distances) - 1)]
     margin = min(min(dec), tol_l1 - distances[-1])
@@ -674,10 +624,11 @@ def check_l1_convergence(traj: Trajectory, phi0,
     return EstimateReport(
         estimate_id="l1_convergence",
         run_ids=(traj.run_id,),
-        parameters={"t_top": t_top, "levels": levels, "tol_l1": float(tol_l1)},
+        parameters={"t_top": t_top, "levels": L1_LEVELS,
+                    "tol_l1": float(tol_l1)},
         margin=float(margin),
         witness=witness,
-        tolerance=tolerance,
+        tolerance=DEFAULT_TOLERANCE,
         aux={"times": times, "distances": distances,
              "phi0_l1_norm": float(norm0)},
     )
@@ -687,13 +638,12 @@ def check_l1_convergence(traj: Trajectory, phi0,
 # negative control
 
 
-def divergence_signature(trajs, t0: float = 0.0,
-                         growth_threshold: float = 1.25) -> dict:
+def divergence_signature(trajs) -> dict:
     """Detect the non-removable singularity fingerprint across an eps family.
 
     A family (eps decreasing) diverges when some run loses metric positivity
     outright, or when the two-sided density-ratio constant keeps growing by
-    at least ``growth_threshold`` per eps-halving instead of stabilizing.
+    at least ``SIGNATURE_GROWTH`` per eps-halving instead of stabilizing.
     It needs at least three eps: a single growth factor cannot show that
     the constant keeps growing.
     Unlike the equivalence certificate, the ratios here are scanned over
@@ -715,8 +665,6 @@ def divergence_signature(trajs, t0: float = 0.0,
         cone = traj.pack.omega_cone_eps.values
         c = -np.inf
         for state in [traj.initial_state] + traj.snapshots:
-            if state.t < t0 - 1e-12:
-                continue
             ratio = metric_density_values(traj.pack, state.t,
                                           state.phi.values) / cone
             lo, hi = float(ratio.min()), float(ratio.max())
@@ -735,7 +683,7 @@ def divergence_signature(trajs, t0: float = 0.0,
     diverging = bool(
         positivity_loss
         or any(not np.isfinite(c) for c in constants)
-        or (growth and min(growth) >= growth_threshold))
+        or (growth and min(growth) >= SIGNATURE_GROWTH))
     return {
         "positivity_loss": positivity_loss,
         "eps_list": eps,
@@ -857,3 +805,47 @@ ESTIMATES = {
             fam[0], datum.phi0, t_top=p.get("t_top", 0.2)), False),
     "signature": Estimate(SIGNATURE_FAMILY, _signature, False),
 }
+"""What each entry of ``ESTIMATES`` certifies (psi = phi + k chi, the
+unreduced potential; phi the reduced one; n = N_DIM; proven = the paper's
+inequality up to tolerance; diagnostic = a fixed threshold of this lab):
+
+- upper_barrier: sup psi(t) <= sup psi(t0) + C (t - t0); scans psi; C from
+  the pack, sup of log(path/cone) + F at t0 and t_end.  Proven, but
+  mis-paired: C bounds d phi/dt at a maximum of the reduced phi and says
+  nothing about where psi peaks, so the check fails on the README family at
+  its default t0 (open fault, ROADMAP item 1).
+- lower_barrier: inf psi(t) >= inf psi(t0) - C (t - t0); scans psi; C the
+  sup of -(log(path/cone) + F).  Proven, with the same mis-pairing.
+- hstat: H = t phi_dot - (psi(t) - psi(0)) - n t <= 0; psi and phi give the
+  same H (chi does not move); no constant.  Proven.  Its aux
+  ``remark_margin`` mixes the barrier C with osc psi(t0), as the barriers do.
+- density_ratio: C(t0) = sup over [t0, T] of max(R, 1/R) is finite, with R
+  the density of path + ddbar phi over the cone density; moving t0 to the
+  next checkpoint may raise C by at most DENSITY_DRIFT (5%).  Diagnostic:
+  C(t0) is a maximum over a shrinking window and never rises, so only a
+  non-positive or infinite ratio can fail it.
+- comparison: sup(u - v)(t) <= sup(u - v)(0) for two levels in one pack;
+  scans phi (k chi cancels); tolerance 1e-8 + 2 x truncation scale.  Proven
+  (the implicit step is monotone).
+- monotone_eps: psi_eps >= psi_eps' for eps > eps' at one t, nodewise;
+  scans psi (chi depends on eps); no constant, tolerance 1e-5.  Proven.
+- osc: across truncation levels the spread of osc psi(t) stays below 5% of
+  its maximum, at checkpoints t >= 0.1.  Diagnostic.
+- phidot_lower: phi_dot >= n log(t - t0) - A osc psi(t0) - C on (t0, T'];
+  A = 2/(T - T'); C is fitted at the first sample, so the check certifies
+  the logarithmic rate, not a constant.
+- reparam_ordering: psi_0 <= phi_0 keeps phi(t) - psi(t) >= 0; scans phi;
+  tolerance as comparison.  Its transformed margin is (C/(1 - C t)) times
+  the plain margin at each checkpoint, so it adds only a rescaled tolerance
+  over ``comparison``.
+- lower_envelope: psi(t) >= (1 - 2lt) psi(0) - C t + n (t log t - t) for
+  checkpoints t < 1/(2l); scans psi; C = sup |u| of the static Monge-Ampere
+  solve from the pack.  Proven.
+- l1_convergence: ||psi(t_m) - phi0||_L1 decreases along t_m = t_top 2^-m,
+  m < L1_LEVELS, and ends below tol_l1 = 1e-2 ||phi0||_L1 + 1e-3 V.
+  Diagnostic.
+- signature: an eps family diverges when a run loses positivity, or when
+  the all-node ratio constant is infinite or grows by >= SIGNATURE_GROWTH
+  (1.25) at every eps step; the report matches that against ``expect``.
+  Diagnostic.
+"""

@@ -11,7 +11,7 @@ import pytest
 
 import coneflow
 import coneflow.config
-from coneflow.archive import load_archive
+from coneflow.archive import load_archive, read_frames, write_frames
 from coneflow.cli import main
 from coneflow.flow import Termination
 
@@ -233,6 +233,16 @@ class TestVerify:
         assert main(["verify", "--out", str(out), "--only", "hstat",
                      "--tolerance-scale", "1000"]) == 0
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1"])
+    def test_tolerance_scale_must_be_finite_and_nonnegative(
+            self, torus_archive, capsys, scale):
+        assert main(["verify", "--out", str(torus_archive), "--only", "hstat",
+                     "--tolerance-scale", scale]) == 2
+        assert "tolerance scale" in capsys.readouterr().err
+        # 0 is allowed: every margin must then be >= 0 exactly
+        assert main(["verify", "--out", str(torus_archive), "--only", "hstat",
+                     "--tolerance-scale", "0"]) == 0
+
     def test_corrupted_archive_is_runtime_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(TORUS_CFG)
@@ -271,6 +281,34 @@ class TestVerify:
         (out / "manifest.json").write_text(json.dumps(manifest))
         assert main(["verify", "--out", str(out)]) == 3
         assert "no version byte" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, needle", [
+        ("no_frames", "KeyError('eps')"),
+        ("bogus_scheme", "'bogus' is not a valid Scheme"),
+    ], ids=["no_frames", "bogus_scheme"])
+    def test_missing_or_bad_frame_is_runtime_error(self, tmp_path, capsys,
+                                                    damage, needle):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TORUS_CFG)
+        out = tmp_path / "arc"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        # a valid header, then no frames or a scheme frame of "bogus"; the
+        # manifest is rehashed to match
+        target = out / "run_e0.2.ckrf"
+        if damage == "no_frames":
+            target.write_bytes(b"CKRF1\x01")
+        else:
+            stored = read_frames(target)
+            stored["scheme"] = "bogus"
+            write_frames(target, list(stored.items()))
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["files"][target.name] = hashlib.sha256(
+            target.read_bytes()).hexdigest()
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["verify", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "run_e0.2.ckrf" in err and needle in err, err
 
 
 class TestExport:

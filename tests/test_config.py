@@ -178,6 +178,11 @@ class TestValidation:
         expect_error(MINIMAL_TORUS + "\n[checkpoints]\ntimes = 0.1, 0.3\n",
                      "(0, T=0.25]")
 
+    def test_empty_checkpoint_list(self):
+        # an empty list would archive no run at all
+        expect_error(MINIMAL_TORUS + "\n[checkpoints]\ntimes =\n",
+                     "line 12", "checkpoint list is empty")
+
     def test_cone_angle_needs_divisor(self):
         expect_error(MINIMAL_TORUS.replace("gamma = 1.0", "gamma = 0.5"),
                      "needs a divisor")

@@ -102,6 +102,11 @@ def test_heat_density_ratio_frozen(torus_lab):
         [1.289740, 1.165432, 1.063665, 1.011606, 1.000418], rel=1e-5)
     # the two-sided constant relaxes toward 1 as the window start moves up
     assert all(a >= b for a, b in zip(grid, grid[1:]))
+    # C(t0) is the maximum over the window from t0 on, kept as Python floats
+    bounds = dr.aux["ratio_bounds"]
+    assert grid == [max(max(h, 1.0 / lo) for _, lo, h in bounds[i:])
+                    for i in range(len(bounds))]
+    assert all(type(c) is float for c in grid)
 
 
 def test_torus_l1_distances_contract(torus_lab):
@@ -387,6 +392,55 @@ def test_reparam_ordering_validation(sphere_lab):
                                    dataclasses.replace(phi, snapshots=[]), 0.9)
     # C * t_end = 1.5 > 1: the clock covers all reparametrized time
     assert np.isinf(est.check_reparam_ordering(psi, phi, 1.5).aux["coverage"])
+
+
+def _attains_masked_min(node, values, mask):
+    return values[node] == values[mask].min()
+
+
+def test_lower_bound_witnesses_frozen(sphere_lab):
+    # each witness is the (t, node) where the margin is attained, and the
+    # node attains the masked extremum of the certified quantity there
+    run = sphere_lab["runs"][(0.1, 8.0)]
+    mask = est.scan_mask(run)
+
+    pl = est.check_phidot_lower(run, 0.1, 0.9)
+    assert pl.witness == (0.7, (31, 32))
+    t_w, node = pl.witness
+    osc0 = pl.aux["osc_at_t0"]
+    vals = (run.state_at(t_w).phi_dot.values - est.N_DIM * np.log(t_w - 0.1)
+            + pl.parameters["A"] * osc0 + pl.parameters["C"])
+    assert _attains_masked_min(node, vals, mask)
+    assert vals[node] == pl.margin
+
+    family = [sphere_lab["runs"][(e, 8.0)] for e in (0.2, 0.1, 0.05)]
+    me = est.check_monotone_eps(family, 0.2)
+    assert me.witness == (0.2, (31, 32))
+    fam_mask = mask & est.scan_mask(family[0]) & est.scan_mask(family[2])
+    fields = [est.tc_potential_values(tr, tr.state_at(0.2)) for tr in family]
+    pair = int(np.argmin(me.aux["pair_margins"]))
+    diff = fields[pair] - fields[pair + 1]
+    assert _attains_masked_min(me.witness[1], diff, fam_mask)
+    assert diff[me.witness[1]] == me.margin
+
+    psi, phi = run, sphere_lab["runs"][(0.1, 2.0)]
+    ro = est.check_reparam_ordering(psi, phi, 0.9)
+    assert ro.witness == (0.00625, (31, 32))
+    t_w, node = ro.witness
+    pair_mask = est.scan_mask(psi) & est.scan_mask(phi)
+    diff = phi.state_at(t_w).phi.values - psi.state_at(t_w).phi.values
+    assert _attains_masked_min(node, diff, pair_mask)
+    assert diff[node] == ro.aux["plain_margin"]
+
+    env = est.check_lower_envelope(run, 2.0)
+    assert env.witness == (0.00625, (28, 0))
+    t_w, node = env.witness
+    phi_init = est.tc_potential_values(run, run.initial_state)
+    curve = ((1.0 - 4.0 * t_w) * phi_init - env.parameters["C"] * t_w
+             + est.N_DIM * (t_w * np.log(t_w) - t_w))
+    gap = est.tc_potential_values(run, run.state_at(t_w)) - curve
+    assert _attains_masked_min(node, gap, mask)
+    assert gap[node] == env.margin
 
 
 def test_l1_trio_frozen(l1_lab):

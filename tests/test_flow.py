@@ -326,11 +326,11 @@ def test_chord_solver_reuses_factors(sphere_pack, monkeypatch):
     residuals = []
     real_finalize = flow._finalize
 
-    def checked_finalize(pack, state, phi_new, dt):
-        rhs = flow_rhs_values(pack, state.t + dt, phi_new)
+    def checked_finalize(pack, state, phi_new, t_new):
+        rhs = flow_rhs_values(pack, t_new, phi_new)
         residuals.append(float(np.abs(phi_new - state.phi.values
-                                      - dt * rhs).max()))
-        return real_finalize(pack, state, phi_new, dt)
+                                      - (t_new - state.t) * rhs).max()))
+        return real_finalize(pack, state, phi_new, t_new)
 
     monkeypatch.setattr(flow.spla, "splu", counting_splu)
     monkeypatch.setattr(flow, "_finalize", checked_finalize)
