@@ -33,7 +33,7 @@ from .archive import load_archive, series_csv, snapshot_csv, write_archive
 from .config import Lab, RunConfig, build_lab, emit_config, parse_config
 from .errors import ConeflowError, ConfigurationError
 from .estimates import ESTIMATES
-from .flow import run_flow
+from .flow import Trajectory, run_family
 from .initial_data import flow_level_values
 
 
@@ -54,33 +54,43 @@ def _resolve_dir(cli_out, config_out=None) -> Path:
 
 
 def execute_runs(config: RunConfig, lab: Lab, jobs: int = 1):
-    """All (eps, j) trajectories of a config; per-run failures collected."""
+    """All (eps, j) trajectories of a config; per-run failures collected.
+
+    The runs of one eps form a family that ``run_family`` integrates on one
+    held LU factor.  With jobs > 1 the families, not the runs, go to a
+    thread pool, so the results never depend on ``jobs``.
+    """
     scan = (lab.datum.psh_exclusion if lab.datum.psh_exclusion is not None
             else lab.datum.phi0.singular_mask)
     j_list = config.j_list or [None]
-    plan = [(f"e{eps:g}" + (f"_j{j:g}" if j is not None else ""), eps, j)
-            for eps in config.eps_list for j in j_list]
 
-    def one(item):
-        run_id, eps, j = item
-        try:
-            phi = flow_level_values(lab.datum, eps, j, config.sigma)
-            return run_flow(lab.packs[eps], j if j is not None else 0.0, phi,
-                            config.control, config.checkpoints,
-                            run_id=run_id, scan_exclude=scan), None
-        except ConeflowError as exc:
-            return None, f"{type(exc).__name__}: {exc}"
+    def family(eps):
+        ids = [f"e{eps:g}" + (f"_j{j:g}" if j is not None else "")
+               for j in j_list]
+        outcomes, members = {}, []
+        for run_id, j in zip(ids, j_list):
+            try:
+                phi = flow_level_values(lab.datum, eps, j, config.sigma)
+            except ConeflowError as exc:
+                outcomes[run_id] = exc
+                continue
+            members.append((run_id, j if j is not None else 0.0, phi))
+        done = run_family(lab.packs[eps], members, config.control,
+                          config.checkpoints, scan_exclude=scan)
+        outcomes.update(zip((m[0] for m in members), done))
+        return [(run_id, outcomes[run_id]) for run_id in ids]
 
     # One job runs inline: a worker thread's malloc arena keeps the run's
     # peak memory after the run and adds to what verify and export take.
     if jobs <= 1:
-        outcomes = [one(item) for item in plan]
+        families = [family(eps) for eps in config.eps_list]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, plan))
-    results = [traj for traj, _ in outcomes if traj is not None]
-    errors = {item[0]: error for item, (_, error) in zip(plan, outcomes)
-              if error is not None}
+            families = list(pool.map(family, config.eps_list))
+    outcomes = [item for fam in families for item in fam]
+    results = [out for _, out in outcomes if isinstance(out, Trajectory)]
+    errors = {run_id: f"{type(out).__name__}: {out}"
+              for run_id, out in outcomes if not isinstance(out, Trajectory)}
     return results, errors
 
 
@@ -281,7 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a config and write an archive")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", type=int, default=1,
+                       help="eps families integrated in parallel; the runs "
+                            "of one eps share an LU factor and step in turn")
 
     p_verify = sub.add_parser("verify", help="check estimates on an archive")
     p_verify.add_argument("--out", required=True)

@@ -13,9 +13,15 @@ monotone.  That monotonicity is what the comparison certificates lean on.
 
 The implicit steps are solved by a chord iteration (Kelley, *Solving
 Nonlinear Equations with Newton's Method*, SIAM 2003, ch. 5): one sparse LU
-factor of the Jacobian is held for a whole run, across steps and changes of
-dt, and rebuilt only when a step on it fails to halve the residual.  The
-static Monge-Ampere solve uses the same iteration.  Both Jacobians are the
+factor of the Jacobian is held for a whole eps family, the runs at one eps
+that differ only in the truncation level j, across steps and changes of dt,
+and rebuilt only when a step on it fails to halve the residual.  The members
+of a family step in turn, one accepted step each, on the same deterministic
+dt ramp, so a factor built for one level at step n serves the others at
+step n as well.  Every member still solves its own equation to newton_tol:
+its iterates depend on its family only to that tolerance, and never on
+timing or on how many families run in parallel.  The static Monge-Ampere
+solve uses the same iteration.  Both Jacobians are the
 5-point ddbar stencil plus a diagonal, so their sparsity pattern is exactly
 symmetric, and the factor is ordered by minimum degree on the pattern of
 A^T + A rather than by SuperLU's default COLAMD, which orders columns for
@@ -37,7 +43,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .background import BackgroundPack
-from .errors import ConfigurationError, PositivityError, SolverError
+from .errors import (ConeflowError, ConfigurationError, PositivityError,
+                     SolverError)
 from .surfaces import ModelSurface, ScalarField, ddbar_density_values
 
 #: column order shared by the series block and the CSV exporter
@@ -187,7 +194,9 @@ def _chord(u, residual, jacobian, held, tol, max_iters, halvings):
     ``residual(u)`` returns (r, aux), or (None, None) where u leaves the
     domain; ``jacobian(aux)`` is the sparse Jacobian at that u.  ``held[0]``
     is the LU factor carried in from earlier solves and out to later ones,
-    None when there is none.  A full step on the held factor is taken when
+    None when there is none; in a flow those solves are the steps of every
+    run of one eps family, so the factor may come from another truncation
+    level's iterate.  A full step on the held factor is taken when
     it at least halves the residual.  Otherwise a stale factor (built at an
     earlier iterate) is dropped, rebuilt at u and the step retried; the step
     of a fresh factor is Newton's, and it is damped by up to ``halvings``
@@ -249,9 +258,10 @@ def _attempt_newton(pack, state, control, dt, held):
 
     The Jacobian I - dt*diag(1/density)*DD is strictly diagonally dominant
     with nonpositive off-diagonal entries, so every solve is well posed and
-    the step is order preserving.  ``held`` carries the run's one LU factor
-    between steps (see ``_chord``); it is not keyed by dt, because a factor
-    built at the previous dt usually still contracts.  The step is accepted
+    the step is order preserving.  ``held`` carries the family's one LU
+    factor between steps (see ``_chord``); it is not keyed by dt or by run,
+    because a factor built at the previous dt, or for another truncation
+    level at this dt, usually still contracts.  The step is accepted
     only at max-norm residual <= newton_tol.
 
     The iteration runs on v = u - c, with c the midrange of phi, and
@@ -329,18 +339,10 @@ def _series_append(series, state, density, pack, scan):
         series[name].append(value)
 
 
-def run_flow(pack: BackgroundPack, j: float, phi_j: ScalarField | np.ndarray,
-             control: StepControl, checkpoints, run_id: str | None = None,
-             scan_exclude: np.ndarray | None = None) -> Trajectory:
-    """Integrate from phi(0) = phi_j - k*chi through the checkpoint list.
-
-    Checkpoints must be strictly increasing inside (0, T]; each one is hit
-    exactly.  The integration is deterministic: the step sequence depends
-    only on the config, never on timing.  Termination is recorded rather
-    than raised so partial runs stay inspectable; a run that stops short
-    reports the cause of its last rejected attempt (positivity loss, or
-    the step floor for any other cause).
-    """
+def _steps(pack, j, phi_j, control, checkpoints, run_id, scan_exclude, held):
+    """The stepping loop of one run: yields after each accepted step and
+    returns its Trajectory.  ``held`` is the LU factor list handed to every
+    implicit attempt (see ``_chord``); the explicit scheme ignores it."""
     params = pack.params
     cps = [float(c) for c in checkpoints]
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
@@ -377,7 +379,6 @@ def run_flow(pack: BackgroundPack, j: float, phi_j: ScalarField | np.ndarray,
     termination = Termination.REACHED_T
     dt_ctrl = control.dt_init
     rejected_total = 0
-    held = [None]       # the run's one LU factor, shared by every attempt
 
     for target in cps:
         while state.t < target - 1e-13:
@@ -428,6 +429,7 @@ def run_flow(pack: BackgroundPack, j: float, phi_j: ScalarField | np.ndarray,
             # freed before the next solve: alive across its LU factor, the
             # array fragments the heap and lifts peak RSS by about 1.5 MB
             del density
+            yield
         if termination is not Termination.REACHED_T:
             break
         snapshots.append(state)
@@ -443,6 +445,78 @@ def run_flow(pack: BackgroundPack, j: float, phi_j: ScalarField | np.ndarray,
         scan_exclude=scan_exclude,
         control=control,
     )
+
+
+def _advance(steps):
+    """Take one step of a ``_steps`` generator: None while the run goes
+    on, its Trajectory once it has ended."""
+    try:
+        next(steps)
+    except StopIteration as done:
+        return done.value
+    return None
+
+
+def run_flow(pack: BackgroundPack, j: float, phi_j: ScalarField | np.ndarray,
+             control: StepControl, checkpoints, run_id: str | None = None,
+             scan_exclude: np.ndarray | None = None) -> Trajectory:
+    """Integrate from phi(0) = phi_j - k*chi through the checkpoint list.
+
+    Checkpoints must be strictly increasing inside (0, T]; each one is hit
+    exactly.  The integration is deterministic: the step sequence depends
+    only on the config, never on timing.  Termination is recorded rather
+    than raised so partial runs stay inspectable; a run that stops short
+    reports the cause of its last rejected attempt (positivity loss, or
+    the step floor for any other cause).
+
+    This is a family of one: the run holds its own LU factor.  The runs of
+    ``run_family`` share theirs, so a run there agrees with this one to
+    newton_tol, not bit for bit.
+    """
+    steps = _steps(pack, j, phi_j, control, checkpoints, run_id,
+                   scan_exclude, held=[None])
+    while (traj := _advance(steps)) is None:
+        pass
+    return traj
+
+
+def run_family(pack: BackgroundPack, members, control: StepControl,
+               checkpoints, scan_exclude: np.ndarray | None = None) -> list:
+    """Integrate the runs of one eps in turn on one held LU factor.
+
+    ``members`` lists (run_id, j, phi_j), usually one per truncation level.
+    Each live member takes one accepted step per round, in list order, and
+    every implicit attempt shares the family's factor (see ``_chord``).  A
+    member keeps its own convergence check to newton_tol, its own rejections,
+    dt halving and termination, so it agrees with its ``run_flow`` run to
+    that tolerance.  A ConeflowError ends its own member only.
+
+    Returns, in member order, each member's Trajectory or the ConeflowError
+    that ended it.  A family of one goes through ``run_flow`` itself, so
+    profilers and the benchmark's span tracer see every solo run under that
+    one name.
+    """
+    if len(members) == 1:
+        (run_id, j, phi_j), = members
+        try:
+            return [run_flow(pack, j, phi_j, control, checkpoints,
+                             run_id=run_id, scan_exclude=scan_exclude)]
+        except ConeflowError as exc:
+            return [exc]
+    held = [None]
+    outcomes = [None] * len(members)
+    live = {i: _steps(pack, j, phi_j, control, checkpoints, run_id,
+                      scan_exclude, held)
+            for i, (run_id, j, phi_j) in enumerate(members)}
+    while live:
+        for i, steps in list(live.items()):
+            try:
+                outcomes[i] = _advance(steps)
+            except ConeflowError as exc:
+                outcomes[i] = exc
+            if outcomes[i] is not None:
+                del live[i]
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

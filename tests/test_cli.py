@@ -5,14 +5,18 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coneflow
+import coneflow.cli
 import coneflow.config
 from coneflow.archive import load_archive, read_frames, write_frames
-from coneflow.cli import main
+from coneflow.cli import execute_runs, main
+from coneflow.config import build_lab, parse_config
 from coneflow.flow import Termination
 
 TORUS_CFG = """\
@@ -56,6 +60,11 @@ kind = zero_lelong(alpha=0.5, c=0.05)
 [checkpoints]
 times = 0.0125, 0.025, 0.05, 0.1, 0.2, 0.5
 """
+
+
+LEVELS_CFG = SPHERE_CFG.replace(
+    "eps = 0.2\n", "eps = 0.3, 0.2\n").replace(
+    "c=0.05)\n", "c=0.05)\nj = 2, 4, 8\n")
 
 
 @pytest.fixture()
@@ -159,6 +168,49 @@ class TestRun:
 
     def test_missing_out_is_config_error(self, torus_cfg):
         assert main(["run", "--config", str(torus_cfg)]) == 2
+
+    def test_jobs_do_not_change_run_files(self, tmp_path):
+        # the pool maps over eps families, each with its own held factor
+        cfg = tmp_path / "levels.cfg"
+        cfg.write_text(LEVELS_CFG)
+        files = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run", "--config", str(cfg), "--out", str(out),
+                         "--jobs", jobs]) == 0
+            files.append({p.name: p.read_bytes()
+                          for p in sorted(out.glob("run_*.ckrf"))})
+        assert len(files[0]) == 6
+        assert files[0] == files[1]
+
+    def test_failing_level_is_reported_alone(self, monkeypatch):
+        # one level's data loses positivity at t=0: only its run fails, and
+        # the rest of its family runs exactly as it does without that level
+        real = coneflow.cli.flow_level_values
+
+        def corrupt(datum, eps, j, sigma):
+            phi = real(datum, eps, j, sigma)
+            if (eps, j) == (0.3, 4.0):
+                i, k = np.indices(phi.values.shape)
+                return phi.values + (-1.0) ** (i + k)
+            return phi
+
+        monkeypatch.setattr(coneflow.cli, "flow_level_values", corrupt)
+        config = parse_config(LEVELS_CFG)
+        lab = build_lab(config)
+        results, errors = execute_runs(config, lab)
+        assert list(errors) == ["e0.3_j4"]
+        assert errors["e0.3_j4"].startswith("PositivityError: ")
+        assert [t.run_id for t in results] == [
+            "e0.3_j2", "e0.3_j8", "e0.2_j2", "e0.2_j4", "e0.2_j8"]
+        clean, none = execute_runs(
+            replace(config, eps_list=[0.3], j_list=[2.0, 8.0]), lab)
+        assert none == {}
+        for a, b in zip(clean, results[:2], strict=True):
+            assert b.run_id == a.run_id
+            assert b.termination is a.termination is Termination.REACHED_T
+            for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
+                assert sb.phi.values.tobytes() == sa.phi.values.tobytes()
 
     def test_coarse_sphere_with_divisor_reaches_T(self, tmp_path):
         # N=32 is above MIN_RESOLUTION and eps=0.2 above its floor, so a

@@ -7,6 +7,7 @@ import pytest
 
 import coneflow.flow as flow
 from coneflow.background import FlowParams, build_pack, path_constant, select_k
+from coneflow.config import build_lab, parse_config
 from coneflow.errors import ConfigurationError, PositivityError, SolverError
 from coneflow.flow import (
     Rejection,
@@ -15,9 +16,11 @@ from coneflow.flow import (
     Termination,
     flow_rhs_values,
     metric_density_values,
+    run_family,
     run_flow,
     static_ma_solve,
 )
+from coneflow.initial_data import flow_level_values
 from coneflow.surfaces import (
     ScalarField,
     SurfaceKind,
@@ -343,6 +346,113 @@ def test_chord_solver_reuses_factors(sphere_pack, monkeypatch):
     assert max(residuals) <= control.newton_tol
     assert 4 * len(factorizations) <= steps
     assert max(factorizations) <= 200_000
+
+
+LEVEL_FAMILY_CFG = """\
+[surface]
+kind = sphere
+n = 32
+v = 2.0
+
+[divisor]
+points = 1.5707963267948966, 0.0
+
+[flow]
+gamma = 0.5
+eps = 0.2
+t = 0.5
+
+[initial]
+kind = zero_lelong(alpha=0.5, c=0.05)
+j = 2, 4, 8
+
+[checkpoints]
+times = 0.0125, 0.025, 0.05, 0.1, 0.2, 0.5
+"""
+
+
+@pytest.fixture(scope="module")
+def level_family():
+    """The truncation levels j = 2, 4, 8 of one zero-Lelong eps on the sphere."""
+    config = parse_config(LEVEL_FAMILY_CFG)
+    lab = build_lab(config)
+    members = [(f"j{j:g}", j, flow_level_values(lab.datum, 0.2, j, config.sigma))
+               for j in config.j_list]
+    return config, lab.packs[0.2], members
+
+
+def _count_splu(monkeypatch):
+    calls = []
+    real_splu = flow.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(flow.spla, "splu", counting_splu)
+    return calls
+
+
+def test_family_matches_solo_runs(level_family, monkeypatch):
+    # one factor held across the levels: each member still solves its own
+    # equation to newton_tol, so it takes the solo run's steps and lands
+    # within rounding of its checkpoints, on far fewer factorizations
+    config, pack, members = level_family
+    calls = _count_splu(monkeypatch)
+    solo = [run_flow(pack, j, phi, config.control, config.checkpoints,
+                     run_id=run_id) for run_id, j, phi in members]
+    solo_calls = len(calls)
+    calls.clear()
+    family = run_family(pack, members, config.control, config.checkpoints)
+    assert solo_calls >= 6
+    assert 2 * len(calls) <= solo_calls
+    for a, b in zip(solo, family, strict=True):
+        assert b.run_id == a.run_id
+        assert b.termination is a.termination is Termination.REACHED_T
+        assert len(b.snapshots) == len(a.snapshots) == 6
+        for sa, sb in zip(a.snapshots, b.snapshots):
+            assert sb.t == sa.t
+            assert sb.step_count == sa.step_count
+            assert sb.rejected_steps == sa.rejected_steps
+            assert np.abs(sb.phi.values - sa.phi.values).max() <= 1e-9
+
+
+def test_explicit_family_is_bitwise_solo(torus, torus_pack):
+    # the explicit scheme holds no factor, so a family is its solo runs
+    x, _ = torus.meshgrid()
+    members = [(f"a{a:g}", 0.0, a * np.cos(2 * np.pi * x))
+               for a in (0.01, 0.005, 0.0025)]
+    ctrl = StepControl(scheme=Scheme.EXPLICIT_RK2, dt_init=1e-4, dt_max=1e-3)
+    cps = [0.01, 0.02]
+    family = run_family(torus_pack, members, ctrl, cps)
+    for (run_id, j, phi), b in zip(members, family, strict=True):
+        a = run_flow(torus_pack, j, phi, ctrl, cps, run_id=run_id)
+        assert b.termination is a.termination
+        assert [s.step_count for s in b.snapshots] == \
+            [s.step_count for s in a.snapshots]
+        for sa, sb in zip(a.snapshots, b.snapshots):
+            assert sb.phi.values.tobytes() == sa.phi.values.tobytes()
+        for key in a.series:
+            assert b.series[key].tobytes() == a.series[key].tobytes()
+
+
+def test_family_member_error_ends_that_member_only(level_family):
+    # a member whose data loses positivity at t=0 raises before its first
+    # solve, so the other levels share the factor exactly as without it
+    config, pack, members = level_family
+    i, j = np.indices(pack.surface.shape)
+    bad = ("bad", 4.0, members[1][2].values + (-1.0) ** (i + j))
+    with_bad = run_family(pack, [members[0], bad, members[2]],
+                          config.control, config.checkpoints)
+    without = run_family(pack, [members[0], members[2]],
+                         config.control, config.checkpoints)
+    assert isinstance(with_bad[1], PositivityError)
+    for a, b in zip(without, [with_bad[0], with_bad[2]], strict=True):
+        assert b.run_id == a.run_id
+        assert b.termination is a.termination is Termination.REACHED_T
+        for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
+            assert sb.step_count == sa.step_count
+            assert sb.phi.values.tobytes() == sa.phi.values.tobytes()
 
 
 def _force_colamd(monkeypatch):
