@@ -20,14 +20,30 @@ of a family step in turn, one accepted step each, on the same deterministic
 dt ramp, so a factor built for one level at step n serves the others at
 step n as well.  Every member still solves its own equation to newton_tol:
 its iterates depend on its family only to that tolerance, and never on
-timing or on how many families run in parallel.  The static Monge-Ampere
-solve uses the same iteration.  Both Jacobians are the
-5-point ddbar stencil plus a diagonal, so their sparsity pattern is exactly
-symmetric, and the factor is ordered by minimum degree on the pattern of
-A^T + A rather than by SuperLU's default COLAMD, which orders columns for
-unsymmetric matrices.  That cuts the fill of L + U by a third (167k against
-248k nonzeros at N=64, 0.97M against 1.44M at N=128) and each triangular
-solve by about 40% at N=128, where the solves dominate a run.
+timing or on how many families run in parallel.
+
+Between rebuilds the flow's Jacobian J = I - dt*diag(1/density)*DD moves
+away from the held J0, built at (density0, dt0), and the two are related
+exactly by J = I + S(J0 - I) with S = diag((dt/dt0)*density0/density).  The
+plain chord step leaves the error |1 - s| on the stiff modes, the pole rows
+and grid-scale modes where dt*ddbar/density >> 1: at N=128 it contracts the
+residual by a median 0.26 per solve on a stale factor, against 0.05 for a
+plain step that follows a rescaled one.  Every second solve of a step on a
+stale factor therefore multiplies the residual by S^-1 node by node, a
+step exact on the stiff modes, so each kind of step damps what the other
+leaves.  It is CVODE's scalar 2/(1 + gamma/gamma_bar) correction made per
+node and alternated (see ``_chord``).  On the N=128 doubled-grid run the
+solves fall from 901 to 605 on the same 11 factorizations, and on the
+README sweep from 2,262 to 2,000 on 20 rather than 18.
+
+The static Monge-Ampere solve uses the same iteration, with plain steps
+only.  Both Jacobians are the 5-point ddbar stencil plus a diagonal, so
+their sparsity pattern is exactly symmetric, and the factor is ordered by
+minimum degree on the pattern of A^T + A rather than by SuperLU's default
+COLAMD, which orders columns for unsymmetric matrices.  That cuts the
+fill of L + U by a third (167k against 248k nonzeros at N=64, 0.97M
+against 1.44M at N=128) and each triangular solve by about 40% at N=128,
+where the solves dominate a run.
 
 A trajectory records checkpoint snapshots plus per-step scalar series; the
 static solver lives here as well.
@@ -188,20 +204,47 @@ def _attempt_rk2(pack, state, control, dt):
     return phi_new, err
 
 
-def _chord(u, residual, jacobian, held, tol, max_iters, halvings):
+@dataclass(eq=False)
+class _Held:
+    """The LU factor carried between chord solves, and where it was built.
+
+    ``weight`` is the ``weight(aux)`` of ``_chord`` at the factor's build
+    point, kept in one buffer that every later build of the holder
+    overwrites; it stays None when the solves pass no weight.
+    """
+
+    lu: object = None
+    weight: np.ndarray | None = None
+
+
+def _chord(u, residual, jacobian, held, tol, max_iters, halvings,
+           weight=None):
     """Drive the max-norm residual at u to <= tol on a held LU factor.
 
     ``residual(u)`` returns (r, aux), or (None, None) where u leaves the
-    domain; ``jacobian(aux)`` is the sparse Jacobian at that u.  ``held[0]``
-    is the LU factor carried in from earlier solves and out to later ones,
-    None when there is none; in a flow those solves are the steps of every
-    run of one eps family, so the factor may come from another truncation
-    level's iterate.  A full step on the held factor is taken when
-    it at least halves the residual.  Otherwise a stale factor (built at an
-    earlier iterate) is dropped, rebuilt at u and the step retried; the step
-    of a fresh factor is Newton's, and it is damped by up to ``halvings``
-    halvings until the residual decreases.  Every step taken counts against
-    ``max_iters``.
+    domain; ``jacobian(aux)`` is the sparse Jacobian at that u.
+    ``held.lu`` is the LU factor carried in from earlier solves and out to
+    later ones, None when there is none; in a flow those solves are the
+    steps of every run of one eps family, so the factor may come from
+    another truncation level's iterate.  A full step on the held factor is
+    taken when it at least halves the residual.  Otherwise a stale factor
+    (built at an earlier iterate) is dropped, rebuilt at u and the step
+    retried; the step of a fresh factor is Newton's, and it is damped by up
+    to ``halvings`` halvings until the residual decreases.  Every step taken
+    counts against ``max_iters``.
+
+    ``weight(aux)``, when given, is a positive per-node weight w for which
+    the Jacobian is J = I + diag(w0/w)(J0 - I), J0 being the held factor's
+    matrix and w0 the weight where it was built.  The plain step J0^-1 r
+    is exact on the modes where J0 is near I and leaves the error
+    |1 - w0/w| where J0 - I dominates; the rescaled step J0^-1 (w/w0) r is
+    exact on the latter and leaves |1 - w/w0| on the former.  On a stale
+    factor the solves from the second, fourth, ... iterate of a call are
+    rescaled, so each step damps what the other leaves; the first solve of
+    a call and every solve on a fresh factor stay plain.  This is CVODE's
+    correction of a stale Newton matrix (Hindmarsh et al., ACM TOMS 31,
+    2005), which scales by the single ratio 2/(1 + gamma/gamma_bar); here
+    the ratio is per node, and it alternates with the plain step.
 
     The factor is ordered by minimum degree on A^T + A (``MMD_AT_PLUS_A``):
     the Jacobians passed in have a structurally symmetric pattern, for which
@@ -226,16 +269,27 @@ def _chord(u, residual, jacobian, held, tol, max_iters, halvings):
     while not norm <= tol:
         if len(history) > max_iters:
             return u, history, Rejection.ITERATIONS
-        if held[0] is None:
-            held[0] = spla.splu(jacobian(aux).tocsc(),
-                                 permc_spec="MMD_AT_PLUS_A")
+        if held.lu is None:
+            held.lu = spla.splu(jacobian(aux).tocsc(),
+                                permc_spec="MMD_AT_PLUS_A")
+            # the weight buffer goes after the factor: allocated before
+            # it, the N=128 run's peak RSS read 95.8 MB in 3 of 8 processes
+            # against 90.0-90.4 MB
+            if weight is not None:
+                if held.weight is None:
+                    held.weight = weight(aux)
+                else:
+                    held.weight[:] = weight(aux)
             fresh = True
-        delta = held[0].solve(-res)
+        rhs = -res
+        if weight is not None and not fresh and len(history) % 2 == 0:
+            rhs *= weight(aux) / held.weight
+        delta = held.lu.solve(rhs)
         lam = 1.0
         res_new, aux_new, norm_new = evaluate(u + delta)
         if not norm_new <= max(0.5 * norm, tol):
             if not fresh:
-                held[0] = None      # drop first: one factor alive at a time
+                held.lu = None      # drop first: one factor alive at a time
                 continue
             for _ in range(halvings - 1):
                 if norm_new < norm:
@@ -263,6 +317,11 @@ def _attempt_newton(pack, state, control, dt, held):
     because a factor built at the previous dt, or for another truncation
     level at this dt, usually still contracts.  The step is accepted
     only at max-norm residual <= newton_tol.
+
+    The chord weight is w = density/dt: the Jacobian at (density, dt) is
+    exactly I + diag(w0/w)(J0 - I) against the factor's J0, built at
+    (density0, dt0), so the rescaled solves of ``_chord`` correct a changed
+    dt and a moved density node by node.
 
     The iteration runs on v = u - c, with c the midrange of phi, and
     evaluates the density as path + DD v; ddbar kills constants, so this is
@@ -299,7 +358,8 @@ def _attempt_newton(pack, state, control, dt, held):
         return sp.identity(n * n, format="csr") - dt * sp.diags(1.0 / dens) @ dd
 
     v, _, cause = _chord(v, residual, jacobian, held, control.newton_tol,
-                         control.max_newton_iters, halvings=12)
+                         control.max_newton_iters, halvings=12,
+                         weight=lambda dens: dens / dt)
     if cause is not None:
         return cause
     return (v + center).reshape(surface.shape)
@@ -341,8 +401,8 @@ def _series_append(series, state, density, pack, scan):
 
 def _steps(pack, j, phi_j, control, checkpoints, run_id, scan_exclude, held):
     """The stepping loop of one run: yields after each accepted step and
-    returns its Trajectory.  ``held`` is the LU factor list handed to every
-    implicit attempt (see ``_chord``); the explicit scheme ignores it."""
+    returns its Trajectory.  ``held`` is the ``_Held`` factor handed to
+    every implicit attempt (see ``_chord``); the explicit scheme ignores it."""
     params = pack.params
     cps = [float(c) for c in checkpoints]
     if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
@@ -474,7 +534,7 @@ def run_flow(pack: BackgroundPack, j: float, phi_j: ScalarField | np.ndarray,
     newton_tol, not bit for bit.
     """
     steps = _steps(pack, j, phi_j, control, checkpoints, run_id,
-                   scan_exclude, held=[None])
+                   scan_exclude, held=_Held())
     while (traj := _advance(steps)) is None:
         pass
     return traj
@@ -503,7 +563,7 @@ def run_family(pack: BackgroundPack, members, control: StepControl,
                              run_id=run_id, scan_exclude=scan_exclude)]
         except ConeflowError as exc:
             return [exc]
-    held = [None]
+    held = _Held()
     outcomes = [None] * len(members)
     live = {i: _steps(pack, j, phi_j, control, checkpoints, run_id,
                       scan_exclude, held)
@@ -548,7 +608,7 @@ def static_ma_solve(surface: ModelSurface, data_density: np.ndarray,
 
     u, history, cause = _chord(np.zeros(w.size), residual,
                                lambda source: dd - sp.diags(source),
-                               [None], tol, max_iters, halvings=20)
+                               _Held(), tol, max_iters, halvings=20)
     if cause is Rejection.ITERATIONS:
         raise SolverError(
             f"static solve did not reach {tol:g} in {max_iters} iterations",

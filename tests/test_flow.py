@@ -1,9 +1,11 @@
 """Steppers, run_flow and the static solver."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import coneflow.flow as flow
 from coneflow.background import FlowParams, build_pack, path_constant, select_k
@@ -58,11 +60,13 @@ def sphere_pack(sphere):
     return build_pack(sphere, divisor, params)
 
 
+SPHERE_CPS = [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0]
+
+
 @pytest.fixture(scope="module")
 def sphere_traj(sphere_pack):
-    cps = [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0]
     return run_flow(sphere_pack, 0.0, np.zeros(sphere_pack.surface.shape),
-                    StepControl(), cps)
+                    StepControl(), SPHERE_CPS)
 
 
 def omega_mean(surface, values):
@@ -312,40 +316,106 @@ def test_rk2_step_floor_after_recovered_positivity(torus, torus_pack,
     assert traj.termination is Termination.STEP_FLOOR
 
 
+class _CountedLU:
+    """A factor from ``_LUCounter``: counts its solves, takes weak refs."""
+
+    def __init__(self, lu, counter):
+        self._lu, self._counter = lu, counter
+
+    def solve(self, rhs):
+        self._counter.solves += 1
+        return self._lu.solve(rhs)
+
+
+class _LUCounter:
+    """Counts the factorizations and solves of ``flow.spla.splu``.
+
+    Each factor goes out behind a proxy, because SuperLU objects take no
+    weak references: ``alive_at_build`` lists, for every factorization, how
+    many earlier factors were still alive when it started.
+    """
+
+    def __init__(self, monkeypatch):
+        self.solves = 0
+        self.fill = []              # nonzeros in L + U, per factorization
+        self.alive_at_build = []
+        self._refs = []
+        real_splu = flow.spla.splu
+
+        def splu(*args, **kwargs):
+            self.alive_at_build.append(
+                sum(ref() is not None for ref in self._refs))
+            lu = real_splu(*args, **kwargs)
+            self.fill.append(lu.L.nnz + lu.U.nnz)
+            proxy = _CountedLU(lu, self)
+            self._refs.append(weakref.ref(proxy))
+            return proxy
+
+        monkeypatch.setattr(flow.spla, "splu", splu)
+
+    @property
+    def factorizations(self):
+        return len(self.fill)
+
+    def reset(self):
+        self.solves = 0
+        self.fill.clear()
+        self.alive_at_build.clear()
+        self._refs.clear()
+
+
+def _rounding_floor(pack, dt, phi, density):
+    """Bound on what rounding moves the backward-Euler residual by when it
+    is evaluated through the roll stencil on the uncentred phi: one unit of
+    |phi| in every stencil term, over the density, times dt."""
+    dd = pack.surface.ddbar_matrix()
+    row = np.asarray(abs(dd).sum(axis=1)).reshape(phi.shape)
+    return dt * np.finfo(float).eps * np.abs(phi).max() * (row / density).max()
+
+
 def test_chord_solver_reuses_factors(sphere_pack, monkeypatch):
-    # one LU factor serves many steps, and every accepted step still solves
-    # the backward-Euler equation to newton_tol (checked through the
-    # independent stencil evaluation of flow_rhs_values); the factor is
+    # one LU factor serves many steps, and every accepted step solves the
+    # backward-Euler equation to newton_tol in the solver's own centred
+    # evaluation; the independent stencil evaluation of flow_rhs_values on
+    # the uncentred phi agrees with it to its rounding floor.  The factor is
     # ordered for the symmetric pattern (fill 167,400 at N=64 under
     # MMD_AT_PLUS_A, 247,738 under the default COLAMD)
-    factorizations = []
-    real_splu = flow.spla.splu
+    lu = _LUCounter(monkeypatch)
+    final = []
+    real_chord = flow._chord
 
-    def counting_splu(*args, **kwargs):
-        lu = real_splu(*args, **kwargs)
-        factorizations.append(lu.L.nnz + lu.U.nnz)
-        return lu
+    def recording_chord(*args, **kwargs):
+        u, history, cause = real_chord(*args, **kwargs)
+        if cause is None:
+            final.append(history[-1])
+        return u, history, cause
 
     residuals = []
     real_finalize = flow._finalize
 
     def checked_finalize(pack, state, phi_new, t_new):
-        rhs = flow_rhs_values(pack, t_new, phi_new)
-        residuals.append(float(np.abs(phi_new - state.phi.values
-                                      - (t_new - state.t) * rhs).max()))
+        dt = t_new - state.t
+        density = metric_density_values(pack, t_new, phi_new)
+        rhs = flow_rhs_values(pack, t_new, phi_new, density=density)
+        residuals.append((float(np.abs(phi_new - state.phi.values
+                                       - dt * rhs).max()),
+                          _rounding_floor(pack, dt, phi_new, density)))
         return real_finalize(pack, state, phi_new, t_new)
 
-    monkeypatch.setattr(flow.spla, "splu", counting_splu)
+    monkeypatch.setattr(flow, "_chord", recording_chord)
     monkeypatch.setattr(flow, "_finalize", checked_finalize)
     control = StepControl()
     traj = run_flow(sphere_pack, 0.0, np.zeros(sphere_pack.surface.shape),
-                    control, [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0])
+                    control, SPHERE_CPS)
     steps = traj.snapshots[-1].step_count
     assert traj.termination is Termination.REACHED_T
-    assert len(residuals) == steps
-    assert max(residuals) <= control.newton_tol
-    assert 4 * len(factorizations) <= steps
-    assert max(factorizations) <= 200_000
+    assert len(final) == len(residuals) == steps
+    assert max(final) <= control.newton_tol
+    for res, floor in residuals:
+        assert floor <= 0.5 * control.newton_tol
+        assert res <= control.newton_tol + floor
+    assert 4 * lu.factorizations <= steps
+    assert max(lu.fill) <= 200_000
 
 
 LEVEL_FAMILY_CFG = """\
@@ -381,31 +451,19 @@ def level_family():
     return config, lab.packs[0.2], members
 
 
-def _count_splu(monkeypatch):
-    calls = []
-    real_splu = flow.spla.splu
-
-    def counting_splu(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real_splu(*args, **kwargs)
-
-    monkeypatch.setattr(flow.spla, "splu", counting_splu)
-    return calls
-
-
 def test_family_matches_solo_runs(level_family, monkeypatch):
     # one factor held across the levels: each member still solves its own
     # equation to newton_tol, so it takes the solo run's steps and lands
     # within rounding of its checkpoints, on far fewer factorizations
     config, pack, members = level_family
-    calls = _count_splu(monkeypatch)
+    lu = _LUCounter(monkeypatch)
     solo = [run_flow(pack, j, phi, config.control, config.checkpoints,
                      run_id=run_id) for run_id, j, phi in members]
-    solo_calls = len(calls)
-    calls.clear()
+    solo_calls = lu.factorizations
+    lu.reset()
     family = run_family(pack, members, config.control, config.checkpoints)
     assert solo_calls >= 6
-    assert 2 * len(calls) <= solo_calls
+    assert 2 * lu.factorizations <= solo_calls
     for a, b in zip(solo, family, strict=True):
         assert b.run_id == a.run_id
         assert b.termination is a.termination is Termination.REACHED_T
@@ -453,6 +511,93 @@ def test_family_member_error_ends_that_member_only(level_family):
         for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
             assert sb.step_count == sa.step_count
             assert sb.phi.values.tobytes() == sa.phi.values.tobytes()
+
+
+def test_one_factor_alive_at_a_time(sphere_pack, level_family, monkeypatch):
+    # a stale factor is dropped before its replacement is built, so a solo
+    # run and a family each hold one factor's memory at most
+    config, pack, members = level_family
+    lu = _LUCounter(monkeypatch)
+    run_flow(sphere_pack, 0.0, np.zeros(sphere_pack.surface.shape),
+             StepControl(), SPHERE_CPS)
+    assert lu.factorizations >= 2
+    assert lu.alive_at_build == [0] * lu.factorizations
+    lu.reset()
+    run_family(pack, members, config.control, config.checkpoints)
+    assert lu.factorizations >= 2
+    assert lu.alive_at_build == [0] * lu.factorizations
+
+
+def _plain_chord(monkeypatch):
+    """Make every chord step a plain one: ``_chord`` gets no weight."""
+    real_chord = flow._chord
+
+    def plain(*args, weight=None, **kwargs):
+        return real_chord(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "_chord", plain)
+
+
+def test_rescaled_steps_keep_the_trajectory(sphere_pack, level_family,
+                                            monkeypatch):
+    # the rescaled chord steps change how fast a solve converges, not what
+    # it converges to: the same steps, rejections and terminations as plain
+    # steps alone, and phi within 1e-9
+    config, pack, members = level_family
+    lu = _LUCounter(monkeypatch)
+
+    def solo_and_family():
+        solo = run_flow(sphere_pack, 0.0, np.zeros(sphere_pack.surface.shape),
+                        StepControl(), SPHERE_CPS)
+        solo_solves = lu.solves
+        family = run_family(pack, members, config.control, config.checkpoints)
+        solves = (solo_solves, lu.solves - solo_solves)
+        lu.reset()
+        return [solo] + family, solves
+
+    rescaled, rescaled_solves = solo_and_family()
+    _plain_chord(monkeypatch)
+    plain, plain_solves = solo_and_family()
+    # fewer solves where the stiff modes carry the residual: 683 against
+    # 774 on the N=64 sphere run.  The N=32 level family goes the other
+    # way, 1,207 against 981 on 8 factorizations against 6: there an aged
+    # factor still halves the residual on alternate steps, so it is kept
+    # where plain steps would have stalled and rebuilt it (ROADMAP item 7)
+    assert rescaled_solves[0] < plain_solves[0]
+    for a, b in zip(plain, rescaled, strict=True):
+        assert b.termination is a.termination is Termination.REACHED_T
+        assert len(b.snapshots) == len(a.snapshots)
+        for sa, sb in zip(a.snapshots, b.snapshots):
+            assert sb.t == sa.t
+            assert sb.step_count == sa.step_count
+            assert sb.rejected_steps == sa.rejected_steps
+            assert np.abs(sb.phi.values - sa.phi.values).max() <= 1e-9
+
+
+def test_chord_weight_relates_the_jacobians(sphere_pack, monkeypatch):
+    # what the rescaled step rests on: with w = density/dt, the Jacobian
+    # built at one (density, dt) is I + diag(w0/w)(J0 - I) against the one
+    # built at another, to rounding
+    builds = []
+    real_chord = flow._chord
+
+    def recording_chord(u, residual, jacobian, *args, weight=None, **kwargs):
+        def recorded(aux):
+            builds.append((jacobian(aux), weight(aux)))
+            return builds[-1][0]
+        return real_chord(u, residual, recorded, *args, weight=weight,
+                          **kwargs)
+
+    monkeypatch.setattr(flow, "_chord", recording_chord)
+    run_flow(sphere_pack, 0.0, np.zeros(sphere_pack.surface.shape),
+             StepControl(), SPHERE_CPS)
+    assert len(builds) >= 2
+    eye = sp.identity(sphere_pack.surface.shape[0] ** 2, format="csr")
+    for (jac0, w0), (jac, w) in zip(builds, builds[1:]):
+        ratio = w0 / w
+        assert ratio.max() - ratio.min() > 1e-3
+        predicted = eye + sp.diags(ratio) @ (jac0 - eye)
+        assert abs(predicted - jac).max() <= 1e-14 * abs(jac).max()
 
 
 def _force_colamd(monkeypatch):
