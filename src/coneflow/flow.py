@@ -33,8 +33,16 @@ stale factor therefore multiplies the residual by S^-1 node by node, a
 step exact on the stiff modes, so each kind of step damps what the other
 leaves.  It is CVODE's scalar 2/(1 + gamma/gamma_bar) correction made per
 node and alternated (see ``_chord``).  On the N=128 doubled-grid run the
-solves fall from 901 to 605 on the same 11 factorizations, and on the
-README sweep from 2,262 to 2,000 on 20 rather than 18.
+solves fall from 901 to 605 on the same 11 factorizations.
+
+The levels of one eps solve nearly the same system, so a member whose step
+starts at the same (t, dt) as the family's last accepted step starts its
+chord iteration from that sibling's Newton correction (converged iterate
+minus explicit-Euler predictor) added to its own predictor, and takes the
+rescaled step first (see ``_attempt_newton``).  It still converges to
+newton_tol on its own equation.  On the README sweep the solves fall from
+2,000 to 1,091 on the same 20 factorizations; a solo run records no
+correction and is unchanged.
 
 The static Monge-Ampere solve uses the same iteration, with plain steps
 only.  Both Jacobians are the 5-point ddbar stencil plus a diagonal, so
@@ -211,14 +219,23 @@ class _Held:
     ``weight`` is the ``weight(aux)`` of ``_chord`` at the factor's build
     point, kept in one buffer that every later build of the holder
     overwrites; it stays None when the solves pass no weight.
+
+    A family's holder (``siblings`` set) also keeps the Newton correction
+    of the last accepted implicit step, its converged iterate minus its
+    explicit-Euler predictor, and the (t, dt) of that step (``at``).  The
+    buffer is allocated at the first acceptance, after the first factor,
+    and overwritten in place.  A solo run's holder records nothing.
     """
 
     lu: object = None
     weight: np.ndarray | None = None
+    siblings: bool = False
+    correction: np.ndarray | None = None
+    at: tuple | None = None
 
 
 def _chord(u, residual, jacobian, held, tol, max_iters, halvings,
-           weight=None):
+           weight=None, rescaled_first=False):
     """Drive the max-norm residual at u to <= tol on a held LU factor.
 
     ``residual(u)`` returns (r, aux), or (None, None) where u leaves the
@@ -241,10 +258,20 @@ def _chord(u, residual, jacobian, held, tol, max_iters, halvings,
     exact on the latter and leaves |1 - w/w0| on the former.  On a stale
     factor the solves from the second, fourth, ... iterate of a call are
     rescaled, so each step damps what the other leaves; the first solve of
-    a call and every solve on a fresh factor stay plain.  This is CVODE's
+    a call and every solve on a fresh factor stay plain.  With
+    ``rescaled_first`` the order flips, and the first, third, ... solves on
+    a stale factor are rescaled: a call that starts from a family sibling's
+    correction has its smooth modes in place already, and what is left sits
+    on the stiff divisor and pole-row modes where the levels differ, which
+    the rescaled step is exact on.  This is CVODE's
     correction of a stale Newton matrix (Hindmarsh et al., ACM TOMS 31,
     2005), which scales by the single ratio 2/(1 + gamma/gamma_bar); here
-    the ratio is per node, and it alternates with the plain step.
+    the ratio is per node, and it alternates with the plain step.  Only the
+    order of the two kinds of step depends on ``rescaled_first``; the
+    convergence test, the halving and rebuild rule and the damping do not.
+    So a call that starts from a sibling still drives its own residual to
+    tol, and its result depends on the family only to that tolerance,
+    never on ``--jobs``, which only spreads whole families over threads.
 
     The factor is ordered by minimum degree on A^T + A (``MMD_AT_PLUS_A``):
     the Jacobians passed in have a structurally symmetric pattern, for which
@@ -282,7 +309,8 @@ def _chord(u, residual, jacobian, held, tol, max_iters, halvings,
                     held.weight[:] = weight(aux)
             fresh = True
         rhs = -res
-        if weight is not None and not fresh and len(history) % 2 == 0:
+        if (weight is not None and not fresh
+                and len(history) % 2 == int(rescaled_first)):
             rhs *= weight(aux) / held.weight
         delta = held.lu.solve(rhs)
         lam = 1.0
@@ -323,6 +351,24 @@ def _attempt_newton(pack, state, control, dt, held):
     (density0, dt0), so the rescaled solves of ``_chord`` correct a changed
     dt and a moved density node by node.
 
+    The iteration starts at the explicit-Euler predictor base + dt*phi_dot,
+    or at base itself where the predictor leaves the domain.  On a family's
+    holder, a step at the same (t, dt) as the last accepted implicit step
+    there (a sibling level's) starts instead at its own predictor plus that
+    sibling's correction c = v* - base - dt*phi_dot, and ``_chord`` takes
+    the rescaled step first: the correction puts the smooth modes in place,
+    and what is left sits on the stiff divisor and pole-row modes where the
+    levels differ.  The start is checked for positivity like the predictor.
+    A converged step writes its own correction in place, for the next
+    member.  The start moves only how fast the step converges: each member
+    still solves its own equation to newton_tol, so its result depends on
+    the family only to that tolerance, and never on ``--jobs``.  On the
+    README sweep the same start with the plain step first rebuilt 28
+    factors rather than 20.  The sibling's raw increment u* - phi as the
+    start instead had 109 of 408 steps accepted with no solve, at
+    residuals just under newton_tol, and drifted three times as far from
+    a newton_tol = 1e-12 reference (8.7e-10 against 2.9e-10).
+
     The iteration runs on v = u - c, with c the midrange of phi, and
     evaluates the density as path + DD v; ddbar kills constants, so this is
     the same equation.  It matters on fine grids: at N=128 the pole rows'
@@ -344,9 +390,11 @@ def _attempt_newton(pack, state, control, dt, held):
     center = 0.5 * (phi.max() + phi.min())
     base = phi - center
 
-    v = base + dt * state.phi_dot.values.ravel()
+    predictor = base + dt * state.phi_dot.values.ravel()
+    sibling = held.siblings and held.at == (state.t, dt)
+    v = predictor + held.correction if sibling else predictor
     if (path + dd @ v).min() <= 0.0:
-        v = base
+        v, sibling = base, False
 
     def residual(vec):
         dens = path + dd @ vec
@@ -359,9 +407,15 @@ def _attempt_newton(pack, state, control, dt, held):
 
     v, _, cause = _chord(v, residual, jacobian, held, control.newton_tol,
                          control.max_newton_iters, halvings=12,
-                         weight=lambda dens: dens / dt)
+                         weight=lambda dens: dens / dt, rescaled_first=sibling)
     if cause is not None:
         return cause
+    if held.siblings:
+        if held.correction is None:
+            held.correction = v - predictor
+        else:
+            np.subtract(v, predictor, out=held.correction)
+        held.at = (state.t, dt)
     return (v + center).reshape(surface.shape)
 
 
@@ -547,9 +601,14 @@ def run_family(pack: BackgroundPack, members, control: StepControl,
     ``members`` lists (run_id, j, phi_j), usually one per truncation level.
     Each live member takes one accepted step per round, in list order, and
     every implicit attempt shares the family's factor (see ``_chord``).  A
-    member keeps its own convergence check to newton_tol, its own rejections,
-    dt halving and termination, so it agrees with its ``run_flow`` run to
-    that tolerance.  A ConeflowError ends its own member only.
+    member whose step starts at the (t, dt) of the previous member's
+    accepted step starts from that member's Newton correction and takes the
+    rescaled chord step first (see ``_attempt_newton``); the first member of
+    a round, and a member whose dt was halved, start from their own
+    predictor.  A member keeps its own convergence check to newton_tol, its
+    own rejections, dt halving and termination, so it agrees with its
+    ``run_flow`` run to that tolerance, whatever ``--jobs``.  A ConeflowError
+    ends its own member only.
 
     Returns, in member order, each member's Trajectory or the ConeflowError
     that ended it.  A family of one goes through ``run_flow`` itself, so
@@ -563,7 +622,7 @@ def run_family(pack: BackgroundPack, members, control: StepControl,
                              run_id=run_id, scan_exclude=scan_exclude)]
         except ConeflowError as exc:
             return [exc]
-    held = _Held()
+    held = _Held(siblings=True)
     outcomes = [None] * len(members)
     live = {i: _steps(pack, j, phi_j, control, checkpoints, run_id,
                       scan_exclude, held)

@@ -34,6 +34,24 @@ def shifted_copy(traj, offset, t_min=None):
     return dataclasses.replace(traj, snapshots=[shift(s) for s in traj.snapshots])
 
 
+def spiked_copy(traj, t, node, offset):
+    """Copy of a trajectory with the potential moved at one node and one
+    checkpoint only, so that a corrupted run fails at a known (t, node)."""
+    def spike(state):
+        if state.t != t:
+            return state
+        values = state.phi.values.copy()
+        values[node] += offset
+        return dataclasses.replace(
+            state, phi=dataclasses.replace(state.phi, values=values))
+
+    return dataclasses.replace(traj, snapshots=[spike(s) for s in traj.snapshots])
+
+
+#: an interior node of the 64 x 64 sphere grid, away from the divisor
+SPIKE_NODE = (40, 20)
+
+
 # ---------------------------------------------------------------------------
 # report semantics
 
@@ -308,6 +326,40 @@ def test_corrupted_run_flips_checkers(sphere_lab):
     family = [sphere_lab["runs"][(0.2, 8.0)], run,
               shifted_copy(sphere_lab["runs"][(0.05, 8.0)], 0.1)]
     assert not est.check_monotone_eps(family, 0.2).passed
+
+
+def test_corrupted_node_flips_hstat(sphere_lab):
+    # phi lowered by 0.3 at one node raises H = t phi_dot - (psi(t) -
+    # psi(0)) - n t there by 0.3, from -0.239 to about +0.061 at t = 0.2
+    run = sphere_lab["runs"][(0.1, 8.0)]
+    assert est.scan_mask(run)[SPIKE_NODE]
+    assert est.check_hstat(run).passed
+    rep = est.check_hstat(spiked_copy(run, 0.2, SPIKE_NODE, -0.3))
+    assert not rep.passed
+    assert rep.witness == (0.2, SPIKE_NODE)
+    assert rep.aux["max_H"] > 0.05
+
+
+def test_corrupted_node_flips_comparison(sphere_lab):
+    # the upper level raised by 0.01 at one node opens its sup gap over the
+    # deeper level by about 0.01 at that checkpoint, where the initial gap
+    # and every honest later one agree to 1e-8
+    hi, lo = sphere_lab["runs"][(0.1, 8.0)], sphere_lab["runs"][(0.1, 2.0)]
+    assert est.check_comparison(hi, lo).passed
+    rep = est.check_comparison(spiked_copy(hi, 0.2, SPIKE_NODE, 0.01), lo)
+    assert not rep.passed
+    assert rep.witness == (0.2, None)
+    assert rep.margin < -0.009
+
+
+def test_corrupted_node_flips_osc(sphere_lab):
+    # one level's potential raised by 0.1 at one node lifts its oscillation
+    # at that time by about 0.1, past 5% of the family's (about 7e-3)
+    family = [sphere_lab["runs"][(0.1, j)] for j in (2.0, 4.0, 8.0, 16.0)]
+    family[2] = spiked_copy(family[2], 0.2, SPIKE_NODE, 0.1)
+    rep = est.check_osc(family, times=[0.1, 0.2, 0.5])
+    assert not rep.passed
+    assert rep.witness == (0.2, None)
 
 
 def test_osc_family_frozen(sphere_lab):

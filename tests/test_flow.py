@@ -441,14 +441,19 @@ times = 0.0125, 0.025, 0.05, 0.1, 0.2, 0.5
 """
 
 
-@pytest.fixture(scope="module")
-def level_family():
-    """The truncation levels j = 2, 4, 8 of one zero-Lelong eps on the sphere."""
-    config = parse_config(LEVEL_FAMILY_CFG)
+def _eps_family(text):
+    """(config, pack, members) of the one eps of a config's level family."""
+    config = parse_config(text)
     lab = build_lab(config)
     members = [(f"j{j:g}", j, flow_level_values(lab.datum, 0.2, j, config.sigma))
                for j in config.j_list]
     return config, lab.packs[0.2], members
+
+
+@pytest.fixture(scope="module")
+def level_family():
+    """The truncation levels j = 2, 4, 8 of one zero-Lelong eps on the sphere."""
+    return _eps_family(LEVEL_FAMILY_CFG)
 
 
 def test_family_matches_solo_runs(level_family, monkeypatch):
@@ -559,11 +564,11 @@ def test_rescaled_steps_keep_the_trajectory(sphere_pack, level_family,
     _plain_chord(monkeypatch)
     plain, plain_solves = solo_and_family()
     # fewer solves where the stiff modes carry the residual: 683 against
-    # 774 on the N=64 sphere run.  The N=32 level family goes the other
-    # way, 1,207 against 981 on 8 factorizations against 6: there an aged
-    # factor still halves the residual on alternate steps, so it is kept
-    # where plain steps would have stalled and rebuilt it (ROADMAP item 7)
+    # 774 on the N=64 sphere run, and 615 against 850 on the N=32 level
+    # family (7 factorizations against 9), whose later levels start from
+    # their sibling's correction and take the rescaled step first
     assert rescaled_solves[0] < plain_solves[0]
+    assert rescaled_solves[1] < plain_solves[1]
     for a, b in zip(plain, rescaled, strict=True):
         assert b.termination is a.termination is Termination.REACHED_T
         assert len(b.snapshots) == len(a.snapshots)
@@ -572,6 +577,61 @@ def test_rescaled_steps_keep_the_trajectory(sphere_pack, level_family,
             assert sb.step_count == sa.step_count
             assert sb.rejected_steps == sa.rejected_steps
             assert np.abs(sb.phi.values - sa.phi.values).max() <= 1e-9
+
+
+def _no_sibling_starts(monkeypatch):
+    """Make every holder a solo run's: no step starts from a sibling."""
+    real_held = flow._Held
+    monkeypatch.setattr(flow, "_Held", lambda siblings=False: real_held())
+
+
+def test_sibling_start_keeps_the_trajectory(level_family, monkeypatch):
+    # a later level that starts from its sibling's Newton correction still
+    # solves its own equation to newton_tol: the same steps, rejections and
+    # terminations as a cold start, phi within 1e-9, and on the level
+    # family about half the solves (615 against 1,207, on 7 factorizations
+    # against 8).  Levels that really differ (under sigma = 0.002, j =
+    # 0.005, 0.01, 0.02 are 5e-3 and 1e-2 apart at t=0, where j = 2, 4, 8
+    # are 1e-4 apart) keep the trajectory as well.  A solo run records no
+    # correction, so it is bitwise the same either way
+    config, pack, members = level_family
+    biting = _eps_family(LEVEL_FAMILY_CFG.replace(
+        "j = 2, 4, 8", "j = 0.005, 0.01, 0.02\nsigma = 0.002"))
+    lu = _LUCounter(monkeypatch)
+
+    def runs():
+        out = []
+        lu.reset()
+        for cfg, fam_pack, fam_members in ((config, pack, members), biting):
+            out.append((run_family(fam_pack, fam_members, cfg.control,
+                                   cfg.checkpoints),
+                        lu.solves, lu.factorizations))
+            lu.reset()
+        solo = run_flow(pack, members[2][1], members[2][2], config.control,
+                        config.checkpoints)
+        return out, solo
+
+    (level_on, biting_on), solo_on = runs()
+    _no_sibling_starts(monkeypatch)
+    (level_off, biting_off), solo_off = runs()
+    assert level_on[1] <= 0.6 * level_off[1]
+    assert level_on[2] <= level_off[2]
+    for (on, *_), (off, *_) in ((level_on, level_off),
+                                (biting_on, biting_off)):
+        for a, b in zip(off, on, strict=True):
+            assert b.termination is a.termination is Termination.REACHED_T
+            assert len(b.snapshots) == len(a.snapshots)
+            for sa, sb in zip(a.snapshots, b.snapshots):
+                assert sb.t == sa.t
+                assert sb.step_count == sa.step_count
+                assert sb.rejected_steps == sa.rejected_steps
+                assert np.abs(sb.phi.values - sa.phi.values).max() <= 1e-9
+    assert [s.step_count for s in solo_on.snapshots] == \
+        [s.step_count for s in solo_off.snapshots]
+    for sa, sb in zip(solo_off.snapshots, solo_on.snapshots, strict=True):
+        assert sb.phi.values.tobytes() == sa.phi.values.tobytes()
+    for key in solo_off.series:
+        assert solo_on.series[key].tobytes() == solo_off.series[key].tobytes()
 
 
 def test_chord_weight_relates_the_jacobians(sphere_pack, monkeypatch):
