@@ -41,8 +41,9 @@ chord iteration from that sibling's Newton correction (converged iterate
 minus explicit-Euler predictor) added to its own predictor, and takes the
 rescaled step first (see ``_attempt_newton``).  It still converges to
 newton_tol on its own equation.  On the README sweep the solves fall from
-2,000 to 1,091 on the same 20 factorizations; a solo run records no
-correction and is unchanged.
+2,000 to 1,091 on the same 20 factorizations.  A run alone is a family of
+one: its next step never starts at the (t, dt) of its last, so it never
+takes that start.
 
 The static Monge-Ampere solve uses the same iteration, with plain steps
 only.  Both Jacobians are the 5-point ddbar stencil plus a diagonal, so
@@ -220,16 +221,15 @@ class _Held:
     point, kept in one buffer that every later build of the holder
     overwrites; it stays None when the solves pass no weight.
 
-    A family's holder (``siblings`` set) also keeps the Newton correction
-    of the last accepted implicit step, its converged iterate minus its
-    explicit-Euler predictor, and the (t, dt) of that step (``at``).  The
-    buffer is allocated at the first acceptance, after the first factor,
-    and overwritten in place.  A solo run's holder records nothing.
+    A flow's holder also keeps the Newton correction of the last accepted
+    implicit step, its converged iterate minus its explicit-Euler
+    predictor, and the (t, dt) of that step (``at``).  The buffer is
+    allocated at the first acceptance, after the first factor, and
+    overwritten in place.  The static solve records neither.
     """
 
     lu: object = None
     weight: np.ndarray | None = None
-    siblings: bool = False
     correction: np.ndarray | None = None
     at: tuple | None = None
 
@@ -352,11 +352,11 @@ def _attempt_newton(pack, state, control, dt, held):
     dt and a moved density node by node.
 
     The iteration starts at the explicit-Euler predictor base + dt*phi_dot,
-    or at base itself where the predictor leaves the domain.  On a family's
-    holder, a step at the same (t, dt) as the last accepted implicit step
-    there (a sibling level's) starts instead at its own predictor plus that
-    sibling's correction c = v* - base - dt*phi_dot, and ``_chord`` takes
-    the rescaled step first: the correction puts the smooth modes in place,
+    or at base itself where the predictor leaves the domain.  A step at the
+    same (t, dt) as the last accepted implicit step on ``held`` (a sibling
+    level's) starts instead at its own predictor plus that sibling's
+    correction c = v* - base - dt*phi_dot, and ``_chord`` takes the
+    rescaled step first: the correction puts the smooth modes in place,
     and what is left sits on the stiff divisor and pole-row modes where the
     levels differ.  The start is checked for positivity like the predictor.
     A converged step writes its own correction in place, for the next
@@ -391,7 +391,7 @@ def _attempt_newton(pack, state, control, dt, held):
     base = phi - center
 
     predictor = base + dt * state.phi_dot.values.ravel()
-    sibling = held.siblings and held.at == (state.t, dt)
+    sibling = held.at == (state.t, dt)
     v = predictor + held.correction if sibling else predictor
     if (path + dd @ v).min() <= 0.0:
         v, sibling = base, False
@@ -410,12 +410,11 @@ def _attempt_newton(pack, state, control, dt, held):
                          weight=lambda dens: dens / dt, rescaled_first=sibling)
     if cause is not None:
         return cause
-    if held.siblings:
-        if held.correction is None:
-            held.correction = v - predictor
-        else:
-            np.subtract(v, predictor, out=held.correction)
-        held.at = (state.t, dt)
+    if held.correction is None:
+        held.correction = v - predictor
+    else:
+        np.subtract(v, predictor, out=held.correction)
+    held.at = (state.t, dt)
     return (v + center).reshape(surface.shape)
 
 
@@ -561,16 +560,6 @@ def _steps(pack, j, phi_j, control, checkpoints, run_id, scan_exclude, held):
     )
 
 
-def _advance(steps):
-    """Take one step of a ``_steps`` generator: None while the run goes
-    on, its Trajectory once it has ended."""
-    try:
-        next(steps)
-    except StopIteration as done:
-        return done.value
-    return None
-
-
 def run_flow(pack: BackgroundPack, j: float, phi_j: ScalarField | np.ndarray,
              control: StepControl, checkpoints, run_id: str | None = None,
              scan_exclude: np.ndarray | None = None) -> Trajectory:
@@ -581,17 +570,17 @@ def run_flow(pack: BackgroundPack, j: float, phi_j: ScalarField | np.ndarray,
     only on the config, never on timing.  Termination is recorded rather
     than raised so partial runs stay inspectable; a run that stops short
     reports the cause of its last rejected attempt (positivity loss, or
-    the step floor for any other cause).
+    the step floor for any other cause).  A ConeflowError that ends the
+    run is raised.
 
-    This is a family of one: the run holds its own LU factor.  The runs of
-    ``run_family`` share theirs, so a run there agrees with this one to
-    newton_tol, not bit for bit.
+    The run is ``run_family`` over one member, so it agrees with the same
+    member of a larger family to newton_tol, not bit for bit.
     """
-    steps = _steps(pack, j, phi_j, control, checkpoints, run_id,
-                   scan_exclude, held=_Held())
-    while (traj := _advance(steps)) is None:
-        pass
-    return traj
+    outcome, = run_family(pack, [(run_id, j, phi_j)], control, checkpoints,
+                          scan_exclude=scan_exclude)
+    if isinstance(outcome, ConeflowError):
+        raise outcome
+    return outcome
 
 
 def run_family(pack: BackgroundPack, members, control: StepControl,
@@ -611,18 +600,9 @@ def run_family(pack: BackgroundPack, members, control: StepControl,
     ends its own member only.
 
     Returns, in member order, each member's Trajectory or the ConeflowError
-    that ended it.  A family of one goes through ``run_flow`` itself, so
-    profilers and the benchmark's span tracer see every solo run under that
-    one name.
+    that ended it.
     """
-    if len(members) == 1:
-        (run_id, j, phi_j), = members
-        try:
-            return [run_flow(pack, j, phi_j, control, checkpoints,
-                             run_id=run_id, scan_exclude=scan_exclude)]
-        except ConeflowError as exc:
-            return [exc]
-    held = _Held(siblings=True)
+    held = _Held()
     outcomes = [None] * len(members)
     live = {i: _steps(pack, j, phi_j, control, checkpoints, run_id,
                       scan_exclude, held)
@@ -630,11 +610,13 @@ def run_family(pack: BackgroundPack, members, control: StepControl,
     while live:
         for i, steps in list(live.items()):
             try:
-                outcomes[i] = _advance(steps)
+                next(steps)
+                continue
+            except StopIteration as done:
+                outcomes[i] = done.value
             except ConeflowError as exc:
                 outcomes[i] = exc
-            if outcomes[i] is not None:
-                del live[i]
+            del live[i]
     return outcomes
 
 

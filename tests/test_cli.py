@@ -248,6 +248,27 @@ class TestVerify:
                      "--only", "phidot_lower"]) == 2
         assert "t0" in capsys.readouterr().err
 
+    def test_readme_family_passes_default_battery(self, tmp_path, capsys):
+        # the README example with default checkpoints (t0 = 1/64 for the
+        # barriers) and the default battery: every line passes, the
+        # barriers too, which scanned phi + k chi and failed here at eps
+        # 0.1 and 0.2 by about -3e-3 before they scanned phi
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```\n(\[surface\]\n.*?)```", readme, re.S).group(1)
+        kept = [part for part in re.split(r"\n(?=\[)", block) if not part
+                .startswith(("[checkpoints]", "[verify]", "[output]"))]
+        cfg = tmp_path / "readme.cfg"
+        cfg.write_text("\n".join(kept))
+        out = tmp_path / "arc"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        barriers = [line for line in lines if "_barrier:" in line]
+        assert len(barriers) == 12
+        assert all(line.startswith("PASS") for line in lines[:-1])
+        assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
+
     def test_failed_expectation_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "expect.cfg"
         cfg.write_text(TORUS_CFG.replace("signature", "signature(expect=1)"))

@@ -499,6 +499,47 @@ def test_explicit_family_is_bitwise_solo(torus, torus_pack):
             assert b.series[key].tobytes() == a.series[key].tobytes()
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_run_flow_is_a_family_of_one(sphere_pack, torus, torus_pack,
+                                     monkeypatch, scheme):
+    # run_flow is run_family over one member: the same snapshots and series
+    # byte for byte, and no step of a run alone starts from a sibling
+    starts = []
+    real_chord = flow._chord
+
+    def spying_chord(*args, rescaled_first=False, **kwargs):
+        starts.append(rescaled_first)
+        return real_chord(*args, rescaled_first=rescaled_first, **kwargs)
+
+    monkeypatch.setattr(flow, "_chord", spying_chord)
+    if scheme is Scheme.EXPLICIT_RK2:
+        x, _ = torus.meshgrid()
+        pack, phi = torus_pack, 0.01 * np.cos(2 * np.pi * x)
+        ctrl, cps = StepControl(scheme=scheme, dt_init=1e-4,
+                                dt_max=1e-3), [0.01, 0.02]
+    else:
+        pack, phi = sphere_pack, np.zeros(sphere_pack.surface.shape)
+        ctrl, cps = StepControl(), [0.0125, 0.025, 0.05]
+    solo = run_flow(pack, 0.0, phi, ctrl, cps, run_id="solo")
+    if scheme is Scheme.EXPLICIT_RK2:
+        assert starts == []
+    else:
+        assert len(starts) >= solo.snapshots[-1].step_count > 0
+        assert not any(starts)
+    family, = run_family(pack, [("solo", 0.0, phi)], ctrl, cps)
+    assert not any(starts)
+    assert family.run_id == solo.run_id
+    assert family.termination is solo.termination is Termination.REACHED_T
+    assert [s.step_count for s in family.snapshots] == \
+        [s.step_count for s in solo.snapshots]
+    for sa, sb in zip(solo.snapshots, family.snapshots, strict=True):
+        assert sb.t == sa.t
+        assert sb.phi.values.tobytes() == sa.phi.values.tobytes()
+        assert sb.phi_dot.values.tobytes() == sa.phi_dot.values.tobytes()
+    for key in solo.series:
+        assert family.series[key].tobytes() == solo.series[key].tobytes()
+
+
 def test_family_member_error_ends_that_member_only(level_family):
     # a member whose data loses positivity at t=0 raises before its first
     # solve, so the other levels share the factor exactly as without it
@@ -580,9 +621,12 @@ def test_rescaled_steps_keep_the_trajectory(sphere_pack, level_family,
 
 
 def _no_sibling_starts(monkeypatch):
-    """Make every holder a solo run's: no step starts from a sibling."""
-    real_held = flow._Held
-    monkeypatch.setattr(flow, "_Held", lambda siblings=False: real_held())
+    """Make every holder forget where its correction was taken, so no step
+    starts from a sibling."""
+    class Forgetful(flow._Held):
+        at = property(lambda self: None, lambda self, value: None)
+
+    monkeypatch.setattr(flow, "_Held", Forgetful)
 
 
 def test_sibling_start_keeps_the_trajectory(level_family, monkeypatch):
@@ -592,8 +636,8 @@ def test_sibling_start_keeps_the_trajectory(level_family, monkeypatch):
     # family about half the solves (615 against 1,207, on 7 factorizations
     # against 8).  Levels that really differ (under sigma = 0.002, j =
     # 0.005, 0.01, 0.02 are 5e-3 and 1e-2 apart at t=0, where j = 2, 4, 8
-    # are 1e-4 apart) keep the trajectory as well.  A solo run records no
-    # correction, so it is bitwise the same either way
+    # are 1e-4 apart) keep the trajectory as well.  A run alone never
+    # starts from a sibling, so it is bitwise the same either way
     config, pack, members = level_family
     biting = _eps_family(LEVEL_FAMILY_CFG.replace(
         "j = 2, 4, 8", "j = 0.005, 0.01, 0.02\nsigma = 0.002"))
