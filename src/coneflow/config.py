@@ -44,11 +44,12 @@ multiple ``eta / V`` of the background area form.
 
 ``parse_config`` runs every check that needs no built object: syntax and
 types, T below T_max, eps strictly decreasing, j and sigma, a divisor for
-gamma < 1, a positive k for singular data, estimate ids, checkpoints and
-the stepper.  ``build_lab`` builds the surface, divisor and datum once and
-checks, before selecting k, what only they can judge: eps against the
-grid's resolvability floor, the divisor points, the datum parameters and
-the flow parameters.  Its failures carry the same ``line N:`` prefix.
+gamma < 1, a positive k for singular data, estimate ids and the parameters
+each one reads, checkpoints and the stepper.  ``build_lab`` builds the
+surface, divisor and datum once and checks, before selecting k, what only
+they can judge: eps against the grid's resolvability floor, the divisor
+points, the datum parameters (each kind takes only its own) and the flow
+parameters.  Its failures carry the same ``line N:`` prefix.
 """
 from __future__ import annotations
 
@@ -70,13 +71,6 @@ from .surfaces import (DivisorData, ModelSurface, SurfaceKind, build_surface,
 
 _SECTIONS = ("surface", "divisor", "flow", "initial", "stepper",
              "checkpoints", "verify", "output")
-
-_DATUM_KINDS = {
-    "smooth": DatumKind.SMOOTH,
-    "donaldson": DatumKind.DONALDSON_CONE,
-    "zero_lelong": DatumKind.ZERO_LELONG_UNBOUNDED,
-    "log_pole": DatumKind.LOG_POLE,
-}
 
 _CALL_RE = re.compile(r"^([a-z0-9_]+)\s*(?:\((.*)\))?$")
 
@@ -291,9 +285,10 @@ def parse_config(text: str) -> RunConfig:
     sigma = i.get("sigma", _float, default=0.25)
     i.reject_unknown()
     datum_name, initial_params = kind_call
-    if datum_name not in _DATUM_KINDS:
+    try:
+        initial_kind = DatumKind(datum_name)
+    except ValueError:
         _fail(i.lineno("kind"), f"unknown initial kind {datum_name!r}")
-    initial_kind = _DATUM_KINDS[datum_name]
     if any(j <= 0 for j in j_list):
         _fail(i.lineno("j"), "truncation levels must be positive")
     if any(b <= a for a, b in zip(j_list, j_list[1:])):
@@ -331,9 +326,16 @@ def parse_config(text: str) -> RunConfig:
     v = sec["verify"]
     verify = v.get("estimates", _calls, default=[])
     v.reject_unknown()
-    for est_id, _params in verify:
+    for est_id, params in verify:
         if est_id not in ESTIMATES:
             _fail(v.lineno("estimates"), f"unknown estimate id {est_id!r}")
+        unread = [name for name in params
+                  if name not in ESTIMATES[est_id].params]
+        if unread:
+            takes = ", ".join(ESTIMATES[est_id].params) or "none"
+            _fail(v.lineno("estimates"),
+                  f"{est_id} reads no parameter {', '.join(unread)} "
+                  f"(its parameters: {takes})")
 
     o = sec["output"]
     out_dir = o.get("dir", str, default=None)
@@ -352,8 +354,7 @@ def parse_config(text: str) -> RunConfig:
     if gamma < 1.0 and not divisor_points:
         _fail(f.lineno("gamma"),
               "gamma < 1 needs a divisor section with at least one point")
-    if initial_kind in (DatumKind.ZERO_LELONG_UNBOUNDED,
-                        DatumKind.LOG_POLE) and k == 0.0:
+    if initial_kind.singular and k == 0.0:
         _fail(f.lineno("k"),
               "singular initial data needs a positive cone coefficient k")
     return config
@@ -431,7 +432,7 @@ def _fmt(value) -> str:
 
 def emit_config(config: RunConfig) -> str:
     """Canonical text form; parse_config(emit_config(c)) == c."""
-    datum_name = {v: k for k, v in _DATUM_KINDS.items()}[config.initial_kind]
+    datum_name = config.initial_kind.value
     params = ", ".join(f"{k}={_fmt(v)}" for k, v in config.initial_params.items())
     out = [
         "[surface]",

@@ -11,8 +11,9 @@ mode).  Every report records which mode produced its constant.
 
 Checkers are pure functions of recorded trajectories; nothing here
 re-integrates the flow.  ``ESTIMATES`` maps each estimate id to the shape of
-the run family it reads, its checker, and whether it is in the default
-battery; the docstring after it says what each entry certifies.
+the run family it reads, its checker, whether it is in the default
+battery and the selection parameters the checker reads; the docstring
+after it says what each entry certifies.
 """
 
 from __future__ import annotations
@@ -791,6 +792,8 @@ class Estimate(NamedTuple):
     #: (family of runs, selection parameters, initial datum) -> report
     check: Callable
     default: bool                    # part of the default battery
+    #: the selection parameters ``check`` reads; a config may set no other
+    params: tuple = ()
 
 
 # Each check looks its checker up by module-level name when it runs, so a
@@ -798,28 +801,30 @@ class Estimate(NamedTuple):
 # Order is the default battery's print order.
 ESTIMATES = {
     "upper_barrier": Estimate(PER_RUN, lambda fam, p, _: check_upper_barrier(
-        fam[0], p.get("t0", fam[0].checkpoint_times[0])), True),
+        fam[0], p.get("t0", fam[0].checkpoint_times[0])), True, ("t0",)),
     "lower_barrier": Estimate(PER_RUN, lambda fam, p, _: check_lower_barrier(
-        fam[0], p.get("t0", fam[0].checkpoint_times[0])), True),
+        fam[0], p.get("t0", fam[0].checkpoint_times[0])), True, ("t0",)),
     "hstat": Estimate(PER_RUN, lambda fam, p, _: check_hstat(
-        fam[0], p.get("t0")), True),
+        fam[0], p.get("t0")), True, ("t0",)),
     "density_ratio": Estimate(PER_RUN, lambda fam, p, _: check_density_ratio(
         fam[0], p.get("t0", _first_from(fam[0].checkpoint_times, 0.1,
-                                        fam[0].checkpoint_times[0]))), True),
+                                        fam[0].checkpoint_times[0]))), True,
+        ("t0",)),
     "comparison": Estimate(LEVEL_PAIRS, lambda fam, p, _: check_comparison(
         *fam), True),
-    "monotone_eps": Estimate(EPS_FAMILIES, _monotone_eps, True),
+    "monotone_eps": Estimate(EPS_FAMILIES, _monotone_eps, True, ("t",)),
     "osc": Estimate(LEVEL_FAMILIES, lambda fam, p, _: check_osc(fam), True),
-    "phidot_lower": Estimate(PER_RUN, _phidot_lower, False),
+    "phidot_lower": Estimate(PER_RUN, _phidot_lower, False, ("t0", "tprime")),
     "reparam_ordering": Estimate(
         LEVEL_PAIRS, lambda fam, p, _: check_reparam_ordering(
-            *fam, p.get("c_tilde", 0.9)), False),
+            *fam, p.get("c_tilde", 0.9)), False, ("c_tilde",)),
     "lower_envelope": Estimate(PER_RUN, lambda fam, p, _: check_lower_envelope(
-        fam[0], p.get("l", 2.0)), False),
+        fam[0], p.get("l", 2.0)), False, ("l",)),
     "l1_convergence": Estimate(
         PER_RUN, lambda fam, p, datum: check_l1_convergence(
-            fam[0], datum.phi0, t_top=p.get("t_top", 0.2)), False),
-    "signature": Estimate(SIGNATURE_FAMILY, _signature, False),
+            fam[0], datum.phi0, t_top=p.get("t_top", 0.2)), False,
+        ("t_top",)),
+    "signature": Estimate(SIGNATURE_FAMILY, _signature, False, ("expect",)),
 }
 """What each entry of ``ESTIMATES`` certifies (psi = phi + k chi, the
 unreduced potential; phi the reduced one; n = N_DIM; proven = the paper's

@@ -187,8 +187,9 @@ def flow_rhs_values(pack: BackgroundPack, t: float, phi_values: np.ndarray,
         density = metric_density_values(pack, t, phi_values)
     if density.min() <= 0.0:
         bad = np.argwhere(density <= 0.0)
+        when = "in the initial data" if t == 0.0 else f"at t={t:.6g}"
         raise PositivityError(
-            f"metric density non-positive at t={t:.6g} "
+            f"metric density non-positive {when} "
             f"({bad.shape[0]} nodes, min {density.min():.3e})",
             nodes=[tuple(ix) for ix in bad[:8]],
         )
@@ -418,19 +419,19 @@ def _attempt_newton(pack, state, control, dt, held):
     return (v + center).reshape(surface.shape)
 
 
-def _finalize(pack: BackgroundPack, state: FlowState, phi_new: np.ndarray,
-              t_new: float):
-    """Validate and package a step accepted at t_new; raises on positivity
-    loss.  Returns the new state and its metric density."""
-    density = metric_density_values(pack, t_new, phi_new)
-    phi_dot = flow_rhs_values(pack, t_new, phi_new, density=density)
+def _finalize(pack: BackgroundPack, t: float, phi: np.ndarray,
+              step_count: int, rejected_steps: int):
+    """Validate and package the state at t, the initial one included;
+    raises on positivity loss.  Returns the state and its metric density."""
+    density = metric_density_values(pack, t, phi)
+    phi_dot = flow_rhs_values(pack, t, phi, density=density)
     return FlowState(
-        t=t_new,
-        phi=ScalarField(pack.surface, phi_new, tag=f"phi[t={t_new:.6g}]"),
-        phi_dot=ScalarField(pack.surface, phi_dot, tag=f"phidot[t={t_new:.6g}]"),
+        t=t,
+        phi=ScalarField(pack.surface, phi, tag=f"phi[t={t:.6g}]"),
+        phi_dot=ScalarField(pack.surface, phi_dot, tag=f"phidot[t={t:.6g}]"),
         min_metric_density=float(density.min()),
-        step_count=state.step_count + 1,
-        rejected_steps=state.rejected_steps,
+        step_count=step_count,
+        rejected_steps=rejected_steps,
     ), density
 
 
@@ -467,21 +468,8 @@ def _steps(pack, j, phi_j, control, checkpoints, run_id, scan_exclude, held):
     if run_id is None:
         run_id = f"eps{params.epsilon:g}_j{j:g}"
 
-    phi0 = values - params.k * pack.chi.values
-    density0 = metric_density_values(pack, 0.0, phi0)
-    if density0.min() <= 0.0:
-        bad = np.argwhere(density0 <= 0.0)
-        raise PositivityError(
-            f"initial data loses metric positivity (min {density0.min():.3e})",
-            nodes=[tuple(ix) for ix in bad[:8]],
-        )
-    initial_state = FlowState(
-        t=0.0,
-        phi=ScalarField(pack.surface, phi0, tag="phi[t=0]"),
-        phi_dot=ScalarField(pack.surface, flow_rhs_values(pack, 0.0, phi0,
-                                                          density=density0)),
-        min_metric_density=float(density0.min()),
-    )
+    initial_state, density0 = _finalize(
+        pack, 0.0, values - params.k * pack.chi.values, 0, 0)
     state = initial_state
 
     scan = None if scan_exclude is None else ~scan_exclude
@@ -516,7 +504,9 @@ def _steps(pack, j, phi_j, control, checkpoints, run_id, scan_exclude, held):
                         t_new = state.t + dt
                         if at_checkpoint(t_new, target):
                             t_new = target
-                        accepted, density = _finalize(pack, state, out, t_new)
+                        accepted, density = _finalize(
+                            pack, t_new, out, state.step_count + 1,
+                            rejected_total)
                         break
                     cause = out
                 except PositivityError:
@@ -536,7 +526,6 @@ def _steps(pack, j, phi_j, control, checkpoints, run_id, scan_exclude, held):
                 factor = control.safety * min(ratio**0.35, 3.0)
                 dt_ctrl = float(np.clip(dt * max(factor, 0.3),
                                         control.dt_init, control.dt_max))
-            accepted.rejected_steps = rejected_total
             state = accepted
             _series_append(series, state, density, pack, scan)
             # freed before the next solve: alive across its LU factor, the

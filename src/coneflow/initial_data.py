@@ -2,23 +2,28 @@
 
 Four families of initial data are provided:
 
-* ``smooth``: a bounded trigonometric potential (always admissible),
+* ``smooth``: a bounded trigonometric potential (admissible for small c),
 * ``donaldson``: the model cone potential ``c * |s|^(2 gamma)``,
 * ``zero_lelong``: unbounded with zero Lelong number,
   ``-c * softclamp(-log|s|^2)^alpha + c`` with ``alpha`` in (0, 1),
 * ``log_pole``: ``(c/2) log|s|^2``, a genuine positive-Lelong pole kept as an
   out-of-hypothesis control.
 
-A flow at regularization level eps starts from ``flow_level_values``: the
-datum with its section smoothed at scale eps, truncated from below by the
-soft maximum ``phi_j = sigma * logaddexp(phi/sigma, -j/sigma)``, which is
-smooth, at most ``sigma ln 2`` above ``max(phi, -j)`` and decreasing in j.
+Each kind is declared once, in ``_DECLARATIONS``: the parameters it takes
+with their defaults, the range they must lie in, and its formula in
+x = |s|^2.  ``make_initial`` evaluates the formula at |s|^2.  A flow at
+regularization level eps starts from ``flow_level_values``: the same
+formula at eps^2 + |s|^2, the section smoothed at scale eps, truncated from
+below by the soft maximum ``phi_j = sigma * logaddexp(phi/sigma, -j/sigma)``,
+which is smooth, at most ``sigma ln 2`` above ``max(phi, -j)`` and
+decreasing in j.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,6 +47,11 @@ class DatumKind(enum.Enum):
     DONALDSON_CONE = "donaldson"
     ZERO_LELONG_UNBOUNDED = "zero_lelong"
     LOG_POLE = "log_pole"
+
+    @property
+    def singular(self) -> bool:
+        """Whether the datum is -inf on its divisor."""
+        return self in (DatumKind.ZERO_LELONG_UNBOUNDED, DatumKind.LOG_POLE)
 
 
 @dataclass(eq=False)
@@ -104,74 +114,78 @@ def _chart_radius_grid(surface: ModelSurface, centre: tuple) -> np.ndarray:
     return np.tan(0.5 * dist)
 
 
+def _smooth(surface: ModelSurface, _x, p: dict) -> np.ndarray:
+    a0, a1 = surface.meshgrid()
+    m1, m2 = int(p["m1"]), int(p["m2"])
+    if surface.kind is SurfaceKind.TORUS:
+        return p["c"] * np.cos(2.0 * np.pi * (m1 * a0 + m2 * a1))
+    # restriction of the polynomial z^m1 Re((x+iy)^m2): smooth at poles
+    return p["c"] * np.cos(a0) ** m1 * np.sin(a0) ** m2 * np.cos(m2 * a1)
+
+
+def _zero_lelong(_surface, x: np.ndarray, p: dict) -> np.ndarray:
+    profile = softmax_pair(-np.log(x), 1.0, _CLAMP_TAU)
+    # -inf on the divisor whatever the sign of c
+    return np.where(x > 0.0, -p["c"] * profile ** p["alpha"] + p["c"], -np.inf)
+
+
+class _Declaration(NamedTuple):
+    """What one datum kind takes and how it is evaluated."""
+
+    #: every parameter the kind takes, with its default
+    defaults: dict
+    #: whether the parameters lie in range, and the message when not
+    valid: Callable[[dict], bool]
+    invalid: str
+    #: (surface, x, parameters) -> values, with x = |s|^2 (None without a
+    #: divisor); the smooth kind does not read x
+    formula: Callable[[ModelSurface, np.ndarray | None, dict], np.ndarray]
+
+
+_DECLARATIONS = {
+    DatumKind.SMOOTH: _Declaration(
+        {"c": 0.01, "m1": 1, "m2": 0},
+        lambda p: all(p[m] >= 0 and p[m].is_integer() for m in ("m1", "m2")),
+        "mode numbers must be nonnegative integers", _smooth),
+    DatumKind.DONALDSON_CONE: _Declaration(
+        {"c": 0.05, "gamma": 0.5}, lambda p: 0.0 < p["gamma"] <= 1.0,
+        "cone exponent gamma={gamma} outside (0, 1]",
+        lambda _s, x, p: p["c"] * x ** p["gamma"]),
+    DatumKind.ZERO_LELONG_UNBOUNDED: _Declaration(
+        {"c": 0.05, "alpha": 0.5}, lambda p: 0.0 < p["alpha"] < 1.0,
+        "alpha={alpha} outside (0, 1)", _zero_lelong),
+    DatumKind.LOG_POLE: _Declaration(
+        {"c": 0.2}, lambda p: p["c"] > 0.0,
+        "log pole coefficient must be positive",
+        lambda _s, x, p: 0.5 * p["c"] * np.log(x)),
+}
+
+
 def make_initial(surface: ModelSurface, divisor: DivisorData | None,
                  kind: DatumKind, params: dict) -> InitialDatum:
     """Build an initial potential with its psh margins.
 
-    Raises when the datum fails the psh admissibility check away from its
-    singular nodes; the zero-Lelong family instead shrinks its amplitude
-    until the check passes and records the value used.
+    The datum is its kind's formula at x = |s|^2.  Raises on a parameter
+    the kind does not take or out of its range, and when the datum fails
+    the psh admissibility check away from its singular nodes; the
+    zero-Lelong family instead halves its amplitude until the check passes
+    and records the value used.
     """
-    params = dict(params)
     if kind is not DatumKind.SMOOTH and divisor is None:
         raise ConfigurationError(f"{kind.value} datum needs a divisor")
+    declaration = _DECLARATIONS[kind]
+    unknown = [name for name in params if name not in declaration.defaults]
+    if unknown:
+        raise ConfigurationError(
+            f"{kind.value} takes no parameter {', '.join(unknown)} "
+            f"(its parameters: {', '.join(declaration.defaults)})")
+    p = {name: float(params.get(name, default))
+         for name, default in declaration.defaults.items()}
+    if not declaration.valid(p):
+        raise ConfigurationError(declaration.invalid.format(**p))
 
-    if kind is DatumKind.SMOOTH:
-        c = float(params.setdefault("c", 0.01))
-        m1 = int(params.setdefault("m1", 1))
-        m2 = int(params.setdefault("m2", 0))
-        a0, a1 = surface.meshgrid()
-        if m1 < 0 or m2 < 0:
-            raise ConfigurationError("mode numbers must be nonnegative")
-        if surface.kind is SurfaceKind.TORUS:
-            values = c * np.cos(2.0 * np.pi * (m1 * a0 + m2 * a1))
-        else:
-            # restriction of the polynomial z^m1 Re((x+iy)^m2): smooth at poles
-            values = c * np.cos(a0) ** m1 * np.sin(a0) ** m2 * np.cos(m2 * a1)
-        mask = None
-
-    elif kind is DatumKind.DONALDSON_CONE:
-        c = float(params.setdefault("c", 0.05))
-        gamma = float(params.setdefault("gamma", 0.5))
-        if not (0.0 < gamma <= 1.0):
-            raise ConfigurationError(f"cone exponent gamma={gamma} outside (0, 1]")
-        values = c * divisor.s_h_sq**gamma
-        mask = None
-
-    elif kind is DatumKind.ZERO_LELONG_UNBOUNDED:
-        c = float(params.setdefault("c", 0.05))
-        alpha = float(params.setdefault("alpha", 0.5))
-        if not (0.0 < alpha < 1.0):
-            raise ConfigurationError(f"alpha={alpha} outside (0, 1)")
-        mask = divisor.node_mask()
-        with np.errstate(divide="ignore"):
-            neglog = -np.log(divisor.s_h_sq)
-        clamped = softmax_pair(neglog, 1.0, _CLAMP_TAU)
-        profile = np.where(np.isinf(neglog), np.inf, clamped)
-        for _ in range(20):
-            values = np.where(np.isinf(profile), -np.inf, -c * profile**alpha + c)
-            _, relative = psh_margins(surface, values, mask)
-            if relative >= -1e-6:
-                break
-            c *= 0.5
-        else:
-            raise PositivityError(
-                f"zero-Lelong datum not admissible even at c={c:.2e} "
-                f"(margin {relative:.3e})"
-            )
-        params["c"] = c
-
-    elif kind is DatumKind.LOG_POLE:
-        c = float(params.setdefault("c", 0.2))
-        if c <= 0.0:
-            raise ConfigurationError("log pole coefficient must be positive")
-        mask = divisor.node_mask()
-        with np.errstate(divide="ignore"):
-            values = 0.5 * c * np.log(divisor.s_h_sq)
-
-    else:
-        raise ConfigurationError(f"unknown datum kind {kind!r}")
-
+    x = None if divisor is None else divisor.s_h_sq
+    mask = divisor.node_mask() if kind.singular else None
     exclusion = None
     if kind is DatumKind.LOG_POLE:
         # the stencil defect of a log pole at ring q is ~ c/(2 h^2 q^4), so
@@ -183,12 +197,19 @@ def make_initial(surface: ModelSurface, divisor: DivisorData | None,
         for coords in divisor.point_coords:
             exclusion |= _chart_radius_grid(surface, coords) < halo
 
-    _, relative = psh_margins(surface, values, mask, exclusion)
-    if relative < -1e-6:
+    shrinks = kind is DatumKind.ZERO_LELONG_UNBOUNDED
+    for _ in range(20 if shrinks else 1):
+        with np.errstate(divide="ignore"):
+            values = declaration.formula(surface, x, p)
+        _, relative = psh_margins(surface, values, mask, exclusion)
+        if relative >= -1e-6:
+            break
+        if shrinks:
+            p["c"] *= 0.5
+    else:
         raise PositivityError(
             f"{kind.value} datum rejected: relative psh margin {relative:.3e} "
-            "below -1e-6"
-        )
+            "below -1e-6" + (f" even at c={p['c']:.2e}" if shrinks else ""))
 
     phi0 = ScalarField(surface, values, tag=f"phi0[{kind.value}]", singular_mask=mask)
 
@@ -197,36 +218,28 @@ def make_initial(surface: ModelSurface, divisor: DivisorData | None,
         divisor=divisor,
         kind=kind,
         phi0=phi0,
-        params_used=params,
+        params_used=p,
         psh_exclusion=exclusion,
     )
 
 
 def smoothed_datum_values(datum: InitialDatum, epsilon: float) -> np.ndarray:
-    """Datum re-evaluated through the regularized section, |s|^2 -> eps^2+|s|^2.
+    """The datum's own formula at x = eps^2 + |s|^2 in place of |s|^2.
 
     A raw singular profile dips across one cell with second differences far
     beyond any admissible density, so the grid cannot carry it into a flow.
     A flow at regularization level eps therefore receives the datum with the
     section smoothed at the same scale, matching the smoothing the equation
     itself applies to the cone weight; the replacement converges pointwise
-    to the raw datum away from the divisor as eps drops.  Kinds without
-    divisor dependence come back unchanged.
+    to the raw datum away from the divisor as eps drops.  A datum without a
+    divisor comes back unchanged.
     """
     if epsilon <= 0.0:
         raise ConfigurationError("epsilon must be positive")
-    if datum.kind is DatumKind.SMOOTH or datum.divisor is None:
+    if datum.divisor is None:
         return datum.phi0.values.copy()
-    x = epsilon**2 + datum.divisor.s_h_sq
-    p = datum.params_used
-    if datum.kind is DatumKind.DONALDSON_CONE:
-        return p["c"] * x ** p["gamma"]
-    if datum.kind is DatumKind.ZERO_LELONG_UNBOUNDED:
-        profile = softmax_pair(-np.log(x), 1.0, _CLAMP_TAU)
-        return -p["c"] * profile ** p["alpha"] + p["c"]
-    if datum.kind is DatumKind.LOG_POLE:
-        return 0.5 * p["c"] * np.log(x)
-    raise ConfigurationError(f"unknown datum kind {datum.kind!r}")
+    return _DECLARATIONS[datum.kind].formula(
+        datum.surface, epsilon**2 + datum.divisor.s_h_sq, datum.params_used)
 
 
 def flow_level_values(datum: InitialDatum, epsilon: float,

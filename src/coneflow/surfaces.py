@@ -381,45 +381,26 @@ def poisson_solve(surface: ModelSurface, rhs: ScalarField) -> ScalarField:
 
 
 def _build_dd_matrix(surface: ModelSurface) -> sp.csr_matrix:
+    """The stencil of ``ddbar_density_values`` as a Kronecker sum on C-order
+    node vectors: (second difference along axis 0) x I plus diag(row scale)
+    x (periodic ring along axis 1).  Every entry is one product of the
+    stencil's coefficients, so the matrix is exactly symmetric."""
     n = surface.resolution
-    size = n * n
-    idx = np.arange(size).reshape(n, n)
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(np.broadcast_to(v, r.shape).ravel())
-
+    eye = sp.identity(n, format="csr")
+    ring = sp.diags([1.0, 1.0, -2.0, 1.0, 1.0], [1 - n, -1, 0, 1, n - 1],
+                    shape=(n, n), format="csr")
     if surface.kind is SurfaceKind.TORUS:
-        h2 = (1.0 / n) ** 2
-        c0 = 0.5 / h2
-        add(idx, idx, -4.0 * c0)
-        for ax, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
-            add(idx, np.roll(idx, shift, axis=ax), c0)
-    else:
-        dtheta = np.pi / n
-        dphi = 2.0 * np.pi / n
-        se = surface._sin_edge
-        sc = surface._sin_cell
-        up = 0.5 * se[1:n + 1] / (dtheta * dtheta)   # coefficient of u[i+1] at row i
-        dn = 0.5 * se[:n] / (dtheta * dtheta)        # coefficient of u[i-1] at row i
-        lon = 0.5 / (sc * dphi * dphi)
-        for i in range(n):
-            r = idx[i]
-            add(r, r, -(up[i] + dn[i]) - 2.0 * lon[i])
-            if i + 1 < n:
-                add(r, idx[i + 1], up[i])
-            if i - 1 >= 0:
-                add(r, idx[i - 1], dn[i])
-            add(r, np.roll(r, -1), lon[i])
-            add(r, np.roll(r, 1), lon[i])
-
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    )
-    return mat.tocsr()
+        c0 = 0.5 / (1.0 / n) ** 2
+        return (sp.kron(c0 * ring, eye) + sp.kron(eye, c0 * ring)).tocsr()
+    dtheta = np.pi / n
+    dphi = 2.0 * np.pi / n
+    se = surface._sin_edge
+    sc = surface._sin_cell
+    up = 0.5 * se[1:n + 1] / (dtheta * dtheta)   # coefficient of u[i+1] at row i
+    dn = 0.5 * se[:n] / (dtheta * dtheta)        # coefficient of u[i-1] at row i
+    lon = 0.5 / (sc * dphi * dphi)
+    colat = sp.diags([dn[1:], -(up + dn), up[:-1]], [-1, 0, 1], format="csr")
+    return (sp.kron(colat, eye) + sp.kron(sp.diags(lon), ring)).tocsr()
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,22 @@ class TestRun:
     def test_missing_out_is_config_error(self, torus_cfg):
         assert main(["run", "--config", str(torus_cfg)]) == 2
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("m2=0)", "mm2=3)", "line 12: smooth takes no parameter mm2"),
+        ("upper_barrier;", "upper_barrier(t=0.05);",
+         "line 18: upper_barrier reads no parameter t "),
+    ])
+    def test_parameter_nothing_reads_is_config_error(self, tmp_path, capsys,
+                                                     old, new, message):
+        # before, the datum ran with m2 = 0, and the barrier was certified
+        # from the first checkpoint, both without a word
+        cfg = tmp_path / "torus.cfg"
+        cfg.write_text(TORUS_CFG.replace(old, new))
+        out = tmp_path / "arc"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_do_not_change_run_files(self, tmp_path):
         # the pool maps over eps families, each with its own held factor
         cfg = tmp_path / "levels.cfg"

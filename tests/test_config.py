@@ -1,17 +1,20 @@
 """Config parsing: defaults, validation with line numbers, emit roundtrip."""
+import importlib.util
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 from coneflow.background import compute_tmax
+from coneflow.cli import _SELFCHECK_CONFIG
 from coneflow.config import build_lab, emit_config, parse_config
 from coneflow.errors import ConfigurationError
 from coneflow.estimates import ESTIMATES
 from coneflow.flow import Scheme
-from coneflow.initial_data import DatumKind
-from coneflow.surfaces import SurfaceKind
+from coneflow.initial_data import _DECLARATIONS, DatumKind, make_initial
+from coneflow.surfaces import SurfaceKind, build_surface, divisor_section
 
 MINIMAL_TORUS = """\
 [surface]
@@ -195,6 +198,19 @@ class TestValidation:
     def test_unknown_estimate_id(self):
         expect_error(SPHERE.replace("hstat", "hstats"), "unknown estimate id")
 
+    def test_estimate_parameter_that_no_check_reads(self):
+        # upper_barrier reads t0: with t=0.05 it would certify the barrier
+        # from the first checkpoint and say nothing
+        expect_error(SPHERE.replace("upper_barrier(t0=0.1)",
+                                    "upper_barrier(t=0.05)"),
+                     "line 19", "upper_barrier reads no parameter t")
+        expect_error(SPHERE.replace("comparison", "comparison(t0=0.1)"),
+                     "line 19", "comparison reads no parameter t0")
+
+    def test_datum_parameter_the_kind_does_not_take(self):
+        expect_build_error(SPHERE.replace("alpha=0.5", "alpha=0.5, gamma=0.5"),
+                           "line 15", "zero_lelong takes no parameter gamma")
+
     def test_unknown_initial_kind(self):
         expect_error(SPHERE.replace("zero_lelong", "lelong"),
                      "unknown initial kind")
@@ -244,6 +260,14 @@ class TestResolve:
         assert [eid for eid, entry in ESTIMATES.items() if entry.default] == [
             "upper_barrier", "lower_barrier", "hstat", "density_ratio",
             "comparison", "monotone_eps", "osc"]
+        # the selection parameters each check reads, the only ones a config
+        # may set
+        assert {eid: entry.params for eid, entry in ESTIMATES.items()} == {
+            "upper_barrier": ("t0",), "lower_barrier": ("t0",),
+            "hstat": ("t0",), "density_ratio": ("t0",), "comparison": (),
+            "monotone_eps": ("t",), "osc": (), "phidot_lower": ("t0", "tprime"),
+            "reparam_ordering": ("c_tilde",), "lower_envelope": ("l",),
+            "l1_convergence": ("t_top",), "signature": ("expect",)}
 
 
 def test_readme_example_verifies_at_checkpoints():
@@ -254,3 +278,49 @@ def test_readme_example_verifies_at_checkpoints():
              for key in ("t0", "t") if key in params]
     assert times and all(t in cfg.checkpoints for t in times), (
         times, cfg.checkpoints)
+
+
+def test_readme_tables_match_the_declarations():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [line.split("|")[1:3] for line in readme.splitlines()
+            if line.startswith("| `")]
+    kinds, ids = {}, {}
+    for first, second in rows:
+        for name in re.findall(r"`(\w+)`", first):
+            kinds[name] = dict(re.findall(r"`(\w+)` \(([^)]*)\)", second))
+            ids[name] = tuple(re.findall(r"`(\w+)`", second))
+    for kind in DatumKind:
+        assert kinds[kind.value] == {
+            name: str(default)
+            for name, default in _DECLARATIONS[kind].defaults.items()}
+    assert {eid: ids[eid] for eid in ESTIMATES} == {
+        eid: entry.params for eid, entry in ESTIMATES.items()}
+    assert len(kinds) == len(DatumKind) + len(ESTIMATES)
+
+
+def test_shipped_configs_pass_parse_and_datum_checks():
+    # every config the repo ships: the README example, the selfcheck config
+    # and the benchmark workloads (loaded by path; benchmarks/ is not a
+    # package) parse and build their datum under the current rules
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    texts = {"README": re.search(r"```\n(\[surface\]\n.*?)```", readme,
+                                 re.S).group(1),
+             "selfcheck": _SELFCHECK_CONFIG}
+    spec = importlib.util.spec_from_file_location(
+        "shipped_workloads", root / "benchmarks" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads     # dataclasses resolve it there
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    texts.update((name, w.config) for name, w in workloads.WORKLOADS.items())
+    assert len(texts) == 5
+    for name, text in texts.items():
+        cfg = parse_config(text)
+        surface = build_surface(cfg.surface_kind, cfg.resolution, cfg.volume)
+        divisor = (divisor_section(surface, cfg.divisor_points)
+                   if cfg.divisor_points else None)
+        make_initial(surface, divisor, cfg.initial_kind,
+                     dict(cfg.initial_params))

@@ -34,16 +34,18 @@ def shifted_copy(traj, offset, t_min=None):
     return dataclasses.replace(traj, snapshots=[shift(s) for s in traj.snapshots])
 
 
-def spiked_copy(traj, t, node, offset):
-    """Copy of a trajectory with the potential moved at one node and one
-    checkpoint only, so that a corrupted run fails at a known (t, node)."""
+def spiked_copy(traj, t, node, offset, field="phi"):
+    """Copy of a trajectory with the potential (or the recorded ``field``,
+    such as ``phi_dot``) moved at one node and one checkpoint only, so that
+    a corrupted run fails at a known (t, node)."""
     def spike(state):
         if state.t != t:
             return state
-        values = state.phi.values.copy()
+        old = getattr(state, field)
+        values = old.values.copy()
         values[node] += offset
         return dataclasses.replace(
-            state, phi=dataclasses.replace(state.phi, values=values))
+            state, **{field: dataclasses.replace(old, values=values)})
 
     return dataclasses.replace(traj, snapshots=[spike(s) for s in traj.snapshots])
 
@@ -385,6 +387,45 @@ def test_corrupted_node_flips_osc(sphere_lab):
         rep = est.check_osc(spiked, times=[0.1, 0.2, 0.5])
         assert not rep.passed
         assert rep.witness == (0.2, SPIKE_NODE)
+
+
+def test_corrupted_node_flips_phidot_lower(sphere_lab):
+    # phi_dot lowered by 3 at one node past the fit time: the fitted C = 0
+    # leaves a margin of 1.81 there, so the log-rate bound breaks at that
+    # node and checkpoint
+    run = sphere_lab["runs"][(0.1, 8.0)]
+    assert est.check_phidot_lower(run, 0.1, 0.9).passed
+    bad = spiked_copy(run, 0.5, SPIKE_NODE, -3.0, field="phi_dot")
+    rep = est.check_phidot_lower(bad, 0.1, 0.9)
+    assert not rep.passed
+    assert rep.parameters["C"] == 0.0
+    assert rep.witness == (0.5, SPIKE_NODE)
+
+
+def test_corrupted_node_flips_lower_envelope(sphere_lab):
+    # phi lowered by 1 at one node at t = 0.2 sinks psi below the envelope
+    # (1 - 2lt) psi(0) - Ct + n(t log t - t), 0.585 under psi there
+    run = sphere_lab["runs"][(0.1, 8.0)]
+    assert est.check_lower_envelope(run, 2.0).passed
+    rep = est.check_lower_envelope(spiked_copy(run, 0.2, SPIKE_NODE, -1.0),
+                                   2.0)
+    assert not rep.passed
+    assert rep.witness == (0.2, SPIKE_NODE)
+
+
+def test_corrupted_run_flips_l1_convergence(l1_lab):
+    # the distance to phi0 must fall as t_m = 0.2 * 2^-m falls and end
+    # small.  Raising phi by 10 at one node at t = 0.0125 lifts the distance
+    # there above the one at t = 0.025; lifting the whole run by 0.01 keeps
+    # it at least 0.01 V from phi0 at t = 0.00625.  The witness names the
+    # time only
+    run, phi0 = l1_lab["runs"]["zero_lelong"], l1_lab["data"]["zero_lelong"].phi0
+    assert est.check_l1_convergence(run, phi0).passed
+    for bad, t in ((spiked_copy(run, 0.0125, SPIKE_NODE, 10.0), 0.0125),
+                   (shifted_copy(run, 0.01), 0.00625)):
+        rep = est.check_l1_convergence(bad, phi0)
+        assert not rep.passed
+        assert rep.witness == (t, None)
 
 
 def test_osc_family_frozen(sphere_lab):

@@ -391,16 +391,21 @@ def test_chord_solver_reuses_factors(sphere_pack, monkeypatch):
         return u, history, cause
 
     residuals = []
+    previous = []
     real_finalize = flow._finalize
 
-    def checked_finalize(pack, state, phi_new, t_new):
-        dt = t_new - state.t
-        density = metric_density_values(pack, t_new, phi_new)
-        rhs = flow_rhs_values(pack, t_new, phi_new, density=density)
-        residuals.append((float(np.abs(phi_new - state.phi.values
-                                       - dt * rhs).max()),
-                          _rounding_floor(pack, dt, phi_new, density)))
-        return real_finalize(pack, state, phi_new, t_new)
+    def checked_finalize(pack, t_new, phi_new, step_count, rejected_steps):
+        if step_count > 0:
+            state = previous[-1]
+            dt = t_new - state.t
+            density = metric_density_values(pack, t_new, phi_new)
+            rhs = flow_rhs_values(pack, t_new, phi_new, density=density)
+            residuals.append((float(np.abs(phi_new - state.phi.values
+                                           - dt * rhs).max()),
+                              _rounding_floor(pack, dt, phi_new, density)))
+        out = real_finalize(pack, t_new, phi_new, step_count, rejected_steps)
+        previous[:] = [out[0]]
+        return out
 
     monkeypatch.setattr(flow, "_chord", recording_chord)
     monkeypatch.setattr(flow, "_finalize", checked_finalize)

@@ -115,6 +115,29 @@ def test_parameter_validation(sphere, divisor):
                      {"c": 0.05, "gamma": 2.0})
     with pytest.raises(ConfigurationError, match="positive"):
         make_initial(sphere, divisor, DatumKind.LOG_POLE, {"c": -0.1})
+    # a fractional mode number used to run as its integer part
+    with pytest.raises(ConfigurationError, match="integers"):
+        make_initial(sphere, divisor, DatumKind.SMOOTH, {"c": 0.01, "m1": 1.5})
+
+
+def test_parameter_the_kind_does_not_take(sphere, divisor):
+    with pytest.raises(ConfigurationError, match="mm2"):
+        make_initial(sphere, divisor, DatumKind.SMOOTH,
+                     {"c": 0.01, "m1": 1, "mm2": 3})
+    with pytest.raises(ConfigurationError, match="gamma"):
+        make_initial(sphere, divisor, DatumKind.LOG_POLE,
+                     {"c": 0.2, "gamma": 0.5})
+
+
+@pytest.mark.parametrize("kind", list(DatumKind))
+def test_smoothed_datum_is_the_raw_formula(sphere, divisor, kind):
+    # eps^2 = 1e-200 vanishes against |s|^2 at every node off the divisor,
+    # so the smoothed values are the raw ones bit for bit there; they can
+    # be only if both evaluate one formula
+    datum = make_initial(sphere, divisor, kind, {})
+    off = divisor.s_h_sq > 0.0
+    smoothed = smoothed_datum_values(datum, 1e-100)
+    assert smoothed[off].tobytes() == datum.phi0.values[off].tobytes()
 
 
 def test_oversized_smooth_amplitude_rejected(sphere, divisor):
