@@ -216,8 +216,7 @@ def _trajectory(path, fr: dict, packs: dict) -> Trajectory:
 # whole archives
 
 
-def write_manifest(directory, names, run_status: dict,
-                   complete: bool = True) -> None:
+def write_manifest(directory, names, run_status: dict) -> None:
     """Hash the named files, the ones ``write_archive`` wrote, and nothing else.
 
     Reports and exports from an earlier ``verify``/``export`` in the same
@@ -229,7 +228,7 @@ def write_manifest(directory, names, run_status: dict,
         "format": MAGIC.decode(),
         "version": VERSION,
         "created": datetime.now(timezone.utc).isoformat(),
-        "complete": bool(complete),
+        "complete": True,
         "runs": run_status,
         "files": files,
     }
@@ -285,7 +284,7 @@ class Archive:
 
 
 def write_archive(directory, config: RunConfig, trajectories,
-                  run_errors: dict | None = None, complete: bool = True) -> Path:
+                  run_errors: dict | None = None) -> Path:
     """Persist a family of runs; returns the archive directory.
 
     ``config`` should carry the k the runs used (``Lab.k`` for ``k = auto``),
@@ -302,7 +301,7 @@ def write_archive(directory, config: RunConfig, trajectories,
         status[traj.run_id] = {"status": "ok", "error": None, "file": name}
     for run_id, error in (run_errors or {}).items():
         status[run_id] = {"status": "failed", "error": str(error), "file": None}
-    write_manifest(directory, names, status, complete=complete)
+    write_manifest(directory, names, status)
     return directory
 
 

@@ -81,7 +81,9 @@ def execute_runs(config: RunConfig, lab: Lab, jobs: int = 1):
         return [(run_id, outcomes[run_id]) for run_id in ids]
 
     # One job runs inline: a worker thread's malloc arena keeps the run's
-    # peak memory after the run and adds to what verify and export take.
+    # peak memory after the run and adds to what verify and export take
+    # (one job through the pool raised the N=128 run's median peak RSS from
+    # 90.5 to 94.8 MB).
     if jobs <= 1:
         families = [family(eps) for eps in config.eps_list]
     else:
@@ -144,6 +146,10 @@ def run_verification(arc, selection, scale: float = 1.0,
     runs = sorted(arc.trajectories.values(), key=lambda tr: tr.run_id)
     if selection and not runs:
         raise ConfigurationError("archive holds no successful runs")
+    for est_id, params in selection:
+        misfit = ESTIMATES[est_id].misfit(est_id, params)
+        if misfit:
+            raise ConfigurationError(misfit)
     reports = []
     for est_id, params in selection:
         entry = ESTIMATES[est_id]

@@ -329,13 +329,9 @@ def parse_config(text: str) -> RunConfig:
     for est_id, params in verify:
         if est_id not in ESTIMATES:
             _fail(v.lineno("estimates"), f"unknown estimate id {est_id!r}")
-        unread = [name for name in params
-                  if name not in ESTIMATES[est_id].params]
-        if unread:
-            takes = ", ".join(ESTIMATES[est_id].params) or "none"
-            _fail(v.lineno("estimates"),
-                  f"{est_id} reads no parameter {', '.join(unread)} "
-                  f"(its parameters: {takes})")
+        misfit = ESTIMATES[est_id].misfit(est_id, params)
+        if misfit:
+            _fail(v.lineno("estimates"), misfit)
 
     o = sec["output"]
     out_dir = o.get("dir", str, default=None)

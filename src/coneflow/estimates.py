@@ -762,14 +762,6 @@ def _first_from(times, t: float, fallback: float) -> float:
     return next((s for s in times if s >= t), fallback)
 
 
-def _phidot_lower(fam, params, _datum) -> EstimateReport:
-    if "t0" not in params or "tprime" not in params:
-        raise ConfigurationError(
-            "phidot_lower requires t0=<checkpoint> and tprime=<time> "
-            "parameters")
-    return check_phidot_lower(fam[0], params["t0"], params["tprime"])
-
-
 def _monotone_eps(fam, params, _datum) -> EstimateReport:
     cps = fam[0].checkpoint_times
     return check_monotone_eps(
@@ -794,6 +786,18 @@ class Estimate(NamedTuple):
     default: bool                    # part of the default battery
     #: the selection parameters ``check`` reads; a config may set no other
     params: tuple = ()
+    #: the ones of ``params`` that have no default; a selection must set them
+    required: tuple = ()
+
+    def misfit(self, est_id: str, params) -> str | None:
+        """Why a selection with these parameters cannot run, or None."""
+        unread = [name for name in params if name not in self.params]
+        absent = [name for name in self.required if name not in params]
+        if not (unread or absent):
+            return None
+        verb = "reads no" if unread else "needs"
+        return (f"{est_id} {verb} parameter {', '.join(unread or absent)} "
+                f"(its parameters: {', '.join(self.params) or 'none'})")
 
 
 # Each check looks its checker up by module-level name when it runs, so a
@@ -814,7 +818,9 @@ ESTIMATES = {
         *fam), True),
     "monotone_eps": Estimate(EPS_FAMILIES, _monotone_eps, True, ("t",)),
     "osc": Estimate(LEVEL_FAMILIES, lambda fam, p, _: check_osc(fam), True),
-    "phidot_lower": Estimate(PER_RUN, _phidot_lower, False, ("t0", "tprime")),
+    "phidot_lower": Estimate(PER_RUN, lambda fam, p, _: check_phidot_lower(
+        fam[0], p["t0"], p["tprime"]), False, ("t0", "tprime"),
+        ("t0", "tprime")),
     "reparam_ordering": Estimate(
         LEVEL_PAIRS, lambda fam, p, _: check_reparam_ordering(
             *fam, p.get("c_tilde", 0.9)), False, ("c_tilde",)),

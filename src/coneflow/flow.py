@@ -219,14 +219,12 @@ class _Held:
     """The LU factor carried between chord solves, and where it was built.
 
     ``weight`` is the ``weight(aux)`` of ``_chord`` at the factor's build
-    point, kept in one buffer that every later build of the holder
-    overwrites; it stays None when the solves pass no weight.
+    point; it stays None when the solves pass no weight.
 
     A flow's holder also keeps the Newton correction of the last accepted
     implicit step, its converged iterate minus its explicit-Euler
-    predictor, and the (t, dt) of that step (``at``).  The buffer is
-    allocated at the first acceptance, after the first factor, and
-    overwritten in place.  The static solve records neither.
+    predictor, and the (t, dt) of that step (``at``).  The static solve
+    records neither.
     """
 
     lu: object = None
@@ -300,14 +298,8 @@ def _chord(u, residual, jacobian, held, tol, max_iters, halvings,
         if held.lu is None:
             held.lu = spla.splu(jacobian(aux).tocsc(),
                                 permc_spec="MMD_AT_PLUS_A")
-            # the weight buffer goes after the factor: allocated before
-            # it, the N=128 run's peak RSS read 95.8 MB in 3 of 8 processes
-            # against 90.0-90.4 MB
             if weight is not None:
-                if held.weight is None:
-                    held.weight = weight(aux)
-                else:
-                    held.weight[:] = weight(aux)
+                held.weight = weight(aux)
             fresh = True
         rhs = -res
         if (weight is not None and not fresh
@@ -318,7 +310,7 @@ def _chord(u, residual, jacobian, held, tol, max_iters, halvings,
         res_new, aux_new, norm_new = evaluate(u + delta)
         if not norm_new <= max(0.5 * norm, tol):
             if not fresh:
-                held.lu = None      # drop first: one factor alive at a time
+                held.lu = None      # stale: rebuilt at u on the next pass
                 continue
             for _ in range(halvings - 1):
                 if norm_new < norm:
@@ -360,15 +352,15 @@ def _attempt_newton(pack, state, control, dt, held):
     rescaled step first: the correction puts the smooth modes in place,
     and what is left sits on the stiff divisor and pole-row modes where the
     levels differ.  The start is checked for positivity like the predictor.
-    A converged step writes its own correction in place, for the next
-    member.  The start moves only how fast the step converges: each member
-    still solves its own equation to newton_tol, so its result depends on
-    the family only to that tolerance, and never on ``--jobs``.  On the
-    README sweep the same start with the plain step first rebuilt 28
-    factors rather than 20.  The sibling's raw increment u* - phi as the
-    start instead had 109 of 408 steps accepted with no solve, at
-    residuals just under newton_tol, and drifted three times as far from
-    a newton_tol = 1e-12 reference (8.7e-10 against 2.9e-10).
+    A converged step records its own correction for the next member.  The
+    start moves only how fast the step converges: each member still solves
+    its own equation to newton_tol, so its result depends on the family
+    only to that tolerance, and never on ``--jobs``.  On the README sweep
+    the same start with the plain step first rebuilt 28 factors rather than
+    20.  The sibling's raw increment u* - phi as the start instead had 109
+    of 408 steps accepted with no solve, at residuals just under
+    newton_tol, and drifted three times as far from a newton_tol = 1e-12
+    reference (8.7e-10 against 2.9e-10).
 
     The iteration runs on v = u - c, with c the midrange of phi, and
     evaluates the density as path + DD v; ddbar kills constants, so this is
@@ -411,10 +403,7 @@ def _attempt_newton(pack, state, control, dt, held):
                          weight=lambda dens: dens / dt, rescaled_first=sibling)
     if cause is not None:
         return cause
-    if held.correction is None:
-        held.correction = v - predictor
-    else:
-        np.subtract(v, predictor, out=held.correction)
+    held.correction = v - predictor
     held.at = (state.t, dt)
     return (v + center).reshape(surface.shape)
 
@@ -528,9 +517,6 @@ def _steps(pack, j, phi_j, control, checkpoints, run_id, scan_exclude, held):
                                         control.dt_init, control.dt_max))
             state = accepted
             _series_append(series, state, density, pack, scan)
-            # freed before the next solve: alive across its LU factor, the
-            # array fragments the heap and lifts peak RSS by about 1.5 MB
-            del density
             yield
         if termination is not Termination.REACHED_T:
             break

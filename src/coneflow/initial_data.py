@@ -34,6 +34,7 @@ from .surfaces import (
     ScalarField,
     SurfaceKind,
     ddbar_density_values,
+    haversine,
 )
 
 #: sharpness of the soft clamp inside the zero-Lelong profile
@@ -106,10 +107,7 @@ def psh_margins(surface: ModelSurface, values: np.ndarray,
 
 def _chart_radius_grid(surface: ModelSurface, centre: tuple) -> np.ndarray:
     """Stereographic radius tan(d/2) of every node from a sphere point."""
-    th, ph = surface.meshgrid()
-    tp, pp = centre
-    hav = (np.sin(0.5 * (th - tp)) ** 2
-           + np.sin(th) * np.sin(tp) * np.sin(0.5 * (ph - pp)) ** 2)
+    hav = haversine(surface, centre)
     dist = 2.0 * np.arcsin(np.sqrt(np.clip(hav, 0.0, 1.0)))
     return np.tan(0.5 * dist)
 

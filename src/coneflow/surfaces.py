@@ -407,6 +407,14 @@ def _build_dd_matrix(surface: ModelSurface) -> sp.csr_matrix:
 # divisors on the sphere
 
 
+def haversine(surface: ModelSurface, point: tuple[float, float]) -> np.ndarray:
+    """sin^2(d/2) at every node, d the round distance to (theta, phi)."""
+    th, ph = surface.meshgrid()
+    tp, pp = point
+    return (np.sin(0.5 * (th - tp)) ** 2
+            + np.sin(th) * np.sin(tp) * np.sin(0.5 * (ph - pp)) ** 2)
+
+
 def divisor_section(surface: ModelSurface,
                     points: list[tuple[float, float]]) -> DivisorData:
     """Round-metric section data for a reduced divisor of grid-node points.
@@ -437,13 +445,9 @@ def divisor_section(surface: ModelSurface,
         nodes.append((i, j))
         coords.append((float(surface.axis0[i]), float(surface.axis1[j])))
 
-    th, ph = surface.meshgrid()
     s_sq = np.ones(surface.shape)
-    for (i, j), (tp, pp) in zip(nodes, coords):
-        hav = (
-            np.sin(0.5 * (th - tp)) ** 2
-            + np.sin(th) * np.sin(tp) * np.sin(0.5 * (ph - pp)) ** 2
-        )
+    for (i, j), point in zip(nodes, coords):
+        hav = haversine(surface, point)
         hav[i, j] = 0.0
         s_sq = s_sq * hav
     for i, j in nodes:

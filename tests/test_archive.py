@@ -221,8 +221,12 @@ class TestArchiveRoundtrip:
     def test_incomplete_archive_refuses_to_load(self, archived, tmp_path):
         config, results, _directory = archived
         d = tmp_path / "partial"
-        write_archive(d, config, results,
-                      complete=False)
+        write_archive(d, config, results)
+        # an interrupted writer's manifest; manifests are outside input
+        mpath = d / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["complete"] = False
+        mpath.write_text(json.dumps(manifest))
         assert any("incomplete" in p for p in check_integrity(d))
         with pytest.raises(ArchiveError, match="incomplete"):
             load_archive(d)

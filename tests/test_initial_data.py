@@ -98,6 +98,15 @@ def test_log_pole_margin_outside_halo(log_pole):
     assert margins(log_pole)[1] >= -1e-6
     assert log_pole.psh_exclusion is not None
     assert log_pole.psh_exclusion.sum() > 0
+    # the halo is chart radius tan(d/2) < 1.5/sqrt(N) around the pole, d
+    # from the written-out haversine
+    th, ph = log_pole.surface.meshgrid()
+    tp, pp = log_pole.divisor.point_coords[0]
+    hav = (np.sin(0.5 * (th - tp)) ** 2
+           + np.sin(th) * np.sin(tp) * np.sin(0.5 * (ph - pp)) ** 2)
+    chart = np.tan(0.5 * (2.0 * np.arcsin(np.sqrt(np.clip(hav, 0.0, 1.0)))))
+    halo = chart < 1.5 / np.sqrt(log_pole.surface.resolution)
+    assert np.array_equal(log_pole.psh_exclusion, halo)
 
 
 def test_needs_divisor():

@@ -247,6 +247,15 @@ def test_divisor_two_points(sphere):
     assert d.degree == 2
     assert abs(integrate(sphere, d.theta_density) - 2.0) < 1e-13
     assert int((d.s_h_sq == 0.0).sum()) == 2
+    # bit for bit the product of each point's written-out haversine
+    th, ph = sphere.meshgrid()
+    ref = np.ones(sphere.shape)
+    for tp, pp in d.point_coords:
+        ref = ref * (np.sin(0.5 * (th - tp)) ** 2
+                     + np.sin(th) * np.sin(tp) * np.sin(0.5 * (ph - pp)) ** 2)
+    for i, j in d.points:
+        ref[i, j] = 0.0
+    assert np.array_equal(d.s_h_sq, ref)
 
 
 def test_divisor_validation(torus, sphere):
