@@ -140,8 +140,9 @@ def save_run(directory, traj: Trajectory) -> str:
     for fld in CONTROL_FIELDS:
         cast = type(fld.default)
         frames.append((f"control/{fld.name}", cast(getattr(control, fld.name))))
-    frames.append(("has_scan_exclude", traj.scan_exclude is not None))
-    if traj.scan_exclude is not None:
+    # a mask that excludes nothing is not stored, and loads as all-False
+    frames.append(("has_scan_exclude", bool(traj.scan_exclude.any())))
+    if traj.scan_exclude.any():
         frames.append(("scan_exclude", traj.scan_exclude))
     states = [traj.initial_state] + list(traj.snapshots)
     frames.append(("n_states", len(states)))
@@ -187,7 +188,8 @@ def _trajectory(path, fr: dict, packs: dict) -> Trajectory:
         scheme=Scheme(fr["scheme"]),
         **{fld.name: type(fld.default)(fr[f"control/{fld.name}"])
            for fld in CONTROL_FIELDS})
-    scan = fr["scan_exclude"].astype(bool) if fr["has_scan_exclude"] else None
+    scan = (fr["scan_exclude"].astype(bool) if fr["has_scan_exclude"]
+            else np.zeros(pack.surface.shape, dtype=bool))
     states = []
     for i in range(int(fr["n_states"])):
         states.append(FlowState(
@@ -353,14 +355,12 @@ def snapshot_csv(traj: Trajectory, t: float) -> str:
     instead would keep a dropped archive's surface alive.
     """
     state = traj.state_at(t)
-    surface = traj.pack.surface
-    excl = (traj.scan_exclude if traj.scan_exclude is not None
-            else np.zeros(surface.shape, dtype=bool))
-    cells = surface.coordinate_cells()
+    cells = traj.pack.surface.coordinate_cells()
     # five pieces a row: "axis0,axis1,", phi, ",", phi_dot, ",flag\n"
     pieces = [","] * (5 * len(cells))
     pieces[0::5] = cells
     pieces[1::5] = map(repr, state.phi.values.ravel().tolist())
     pieces[3::5] = map(repr, state.phi_dot.values.ravel().tolist())
-    pieces[4::5] = [",1\n" if e else ",0\n" for e in excl.ravel().tolist()]
+    pieces[4::5] = [",1\n" if e else ",0\n"
+                    for e in traj.scan_exclude.ravel().tolist()]
     return "axis0,axis1,phi,phi_dot,excluded\n" + "".join(pieces)

@@ -265,7 +265,6 @@ class BackgroundPack:
     divisor: DivisorData | None
     params: FlowParams
     tmax: float
-    slope: float
     nu_gamma: ScalarField
     h_gamma: ScalarField
     chi: ScalarField
@@ -330,7 +329,6 @@ def build_pack(surface: ModelSurface, divisor: DivisorData | None,
         divisor=divisor,
         params=params,
         tmax=tmax,
-        slope=slope,
         nu_gamma=ScalarField(surface, nu, tag="nu"),
         h_gamma=h_gamma,
         chi=ScalarField(surface, cone.chi, tag="chi"),

@@ -60,8 +60,6 @@ def execute_runs(config: RunConfig, lab: Lab, jobs: int = 1):
     held LU factor.  With jobs > 1 the families, not the runs, go to a
     thread pool, so the results never depend on ``jobs``.
     """
-    scan = (lab.datum.psh_exclusion if lab.datum.psh_exclusion is not None
-            else lab.datum.phi0.singular_mask)
     j_list = config.j_list or [None]
 
     def family(eps):
@@ -76,7 +74,8 @@ def execute_runs(config: RunConfig, lab: Lab, jobs: int = 1):
                 continue
             members.append((run_id, j if j is not None else 0.0, phi))
         done = run_family(lab.packs[eps], members, config.control,
-                          config.checkpoints, scan_exclude=scan)
+                          config.checkpoints,
+                          scan_exclude=lab.datum.scan_exclude)
         outcomes.update(zip((m[0] for m in members), done))
         return [(run_id, outcomes[run_id]) for run_id in ids]
 

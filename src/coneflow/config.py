@@ -64,7 +64,7 @@ from .background import (FlowParams, build_pack, class_slope, compute_tmax,
                          path_constant, resolvability_floor, select_k)
 from .errors import ConfigurationError
 from .estimates import ESTIMATES
-from .flow import CONTROL_FIELDS, Scheme, StepControl
+from .flow import CONTROL_FIELDS, Scheme, StepControl, at_checkpoint
 from .initial_data import DatumKind, InitialDatum, make_initial
 from .surfaces import (DivisorData, ModelSurface, SurfaceKind, build_surface,
                        divisor_section)
@@ -332,6 +332,16 @@ def parse_config(text: str) -> RunConfig:
         misfit = ESTIMATES[est_id].misfit(est_id, params)
         if misfit:
             _fail(v.lineno("estimates"), misfit)
+        # a check reads its run at a checkpoint t0 (phidot_lower also at 0)
+        # or t, matched as Trajectory.checkpoint_index matches it
+        for name in ("t0", "t"):
+            t = params.get(name)
+            if t is None or (est_id == "phidot_lower" and t == 0.0):
+                continue
+            if not any(at_checkpoint(c, t) for c in checkpoints):
+                _fail(v.lineno("estimates"),
+                      f"{est_id} {name}={t!r} is not a checkpoint (times: "
+                      f"{', '.join(_fmt(c) for c in checkpoints)})")
 
     o = sec["output"]
     out_dir = o.get("dir", str, default=None)

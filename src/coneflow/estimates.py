@@ -18,7 +18,7 @@ after it says what each entry certifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
@@ -80,8 +80,6 @@ def tc_potential_values(traj: Trajectory, state) -> np.ndarray:
 
 
 def scan_mask(traj: Trajectory) -> np.ndarray:
-    if traj.scan_exclude is None:
-        return np.ones(traj.pack.surface.shape, dtype=bool)
     return ~traj.scan_exclude
 
 
@@ -100,17 +98,10 @@ def truncation_scale(traj: Trajectory) -> float:
 
 
 def _same_family(a: Trajectory, b: Trajectory, check_eps: bool = True) -> bool:
-    if a.pack is b.pack:
-        return True
-    pa, pb = a.pack, b.pack
-    same = (pa.surface is pb.surface
-            and pa.params.gamma == pb.params.gamma
-            and pa.params.k == pb.params.k
-            and pa.params.T == pb.params.T
-            and pa.params.eta_degree == pb.params.eta_degree)
-    if check_eps:
-        same = same and pa.params.epsilon == pb.params.epsilon
-    return same
+    """Same surface and flow parameters, the eps aside unless check_eps."""
+    pa, pb = a.pack.params, b.pack.params
+    return a.pack.surface is b.pack.surface and pa == (
+        pb if check_eps else replace(pb, epsilon=pa.epsilon))
 
 
 def _same_grid(a: Trajectory, b: Trajectory) -> bool:

@@ -32,18 +32,16 @@ plain step that follows a rescaled one.  Every second solve of a step on a
 stale factor therefore multiplies the residual by S^-1 node by node, a
 step exact on the stiff modes, so each kind of step damps what the other
 leaves.  It is CVODE's scalar 2/(1 + gamma/gamma_bar) correction made per
-node and alternated (see ``_chord``).  On the N=128 doubled-grid run the
-solves fall from 901 to 605 on the same 11 factorizations.
+node and alternated (see ``_chord``).
 
 The levels of one eps solve nearly the same system, so a member whose step
 starts at the same (t, dt) as the family's last accepted step starts its
 chord iteration from that sibling's Newton correction (converged iterate
 minus explicit-Euler predictor) added to its own predictor, and takes the
 rescaled step first (see ``_attempt_newton``).  It still converges to
-newton_tol on its own equation.  On the README sweep the solves fall from
-2,000 to 1,091 on the same 20 factorizations.  A run alone is a family of
-one: its next step never starts at the (t, dt) of its last, so it never
-takes that start.
+newton_tol on its own equation, in fewer solves on the same factors.  A
+run alone is a family of one: its next step never starts at the (t, dt) of
+its last, so it never takes that start.
 
 The static Monge-Ampere solve uses the same iteration, with plain steps
 only.  Both Jacobians are the 5-point ddbar stencil plus a diagonal, so
@@ -153,8 +151,8 @@ class Trajectory:
     series: dict
     termination: Termination
     control: StepControl
-    # nodes dropped from extremum scans (divisor nodes of singular data)
-    scan_exclude: np.ndarray | None = None
+    # nodes dropped from extremum scans (see InitialDatum.scan_exclude)
+    scan_exclude: np.ndarray
 
     @property
     def checkpoint_times(self) -> list:
@@ -200,18 +198,22 @@ def flow_rhs_values(pack: BackgroundPack, t: float, phi_values: np.ndarray,
 # steppers
 
 
-def _attempt_rk2(pack, state, control, dt):
-    """One Heun step; returns (phi_new, embedded_err), or Rejection.ERROR_TOL
+def _attempt_rk2(pack, state, control, dt, held):
+    """One Heun step; returns (phi_new, dt_next), or Rejection.ERROR_TOL
     when the embedded error exceeds the tolerance.  Stage positivity loss
-    raises."""
+    raises.  dt_next is the PI-style growth keyed to the embedded error of
+    this step.  ``held`` is unused: an explicit step factors nothing."""
     phi = state.phi.values
     k1 = state.phi_dot.values
     k2 = flow_rhs_values(pack, state.t + dt, phi + dt * k1)
     err = 0.5 * dt * float(np.abs(k2 - k1).max())
     if err > control.error_tol:
         return Rejection.ERROR_TOL
-    phi_new = phi + 0.5 * dt * (k1 + k2)
-    return phi_new, err
+    ratio = control.error_tol / max(err, 1e-300)
+    factor = control.safety * min(ratio**0.35, 3.0)
+    dt_next = float(np.clip(dt * max(factor, 0.3),
+                            control.dt_init, control.dt_max))
+    return phi + 0.5 * dt * (k1 + k2), dt_next
 
 
 @dataclass(eq=False)
@@ -355,12 +357,11 @@ def _attempt_newton(pack, state, control, dt, held):
     A converged step records its own correction for the next member.  The
     start moves only how fast the step converges: each member still solves
     its own equation to newton_tol, so its result depends on the family
-    only to that tolerance, and never on ``--jobs``.  On the README sweep
-    the same start with the plain step first rebuilt 28 factors rather than
-    20.  The sibling's raw increment u* - phi as the start instead had 109
-    of 408 steps accepted with no solve, at residuals just under
-    newton_tol, and drifted three times as far from a newton_tol = 1e-12
-    reference (8.7e-10 against 2.9e-10).
+    only to that tolerance, and never on ``--jobs``.  The same start with
+    the plain step first rebuilds more factors.  The sibling's raw
+    increment u* - phi as the start instead accepts steps with no solve, at
+    residuals just under newton_tol, and drifts further from a
+    tighter-tolerance reference.
 
     The iteration runs on v = u - c, with c the midrange of phi, and
     evaluates the density as path + DD v; ddbar kills constants, so this is
@@ -370,7 +371,8 @@ def _attempt_newton(pack, state, control, dt, held):
     default newton_tol, while v is a few hundredths and resolves the
     residual far below it.
 
-    Returns the new potential or the Rejection cause.
+    Returns (new potential, None) or the Rejection cause; the None leaves
+    dt to the stepping loop's ramp.
     """
     surface = pack.surface
     n = surface.resolution
@@ -405,7 +407,7 @@ def _attempt_newton(pack, state, control, dt, held):
         return cause
     held.correction = v - predictor
     held.at = (state.t, dt)
-    return (v + center).reshape(surface.shape)
+    return (v + center).reshape(surface.shape), None
 
 
 def _finalize(pack: BackgroundPack, t: float, phi: np.ndarray,
@@ -429,12 +431,11 @@ def _finalize(pack: BackgroundPack, t: float, phi: np.ndarray,
 
 
 def _series_append(series, state, density, pack, scan):
-    """One row of ``SERIES_COLUMNS`` over the scanned nodes; ``density`` is
-    the state's metric density."""
-    phi, dot = state.phi.values, state.phi_dot.values
+    """One row of ``SERIES_COLUMNS`` over the scanned nodes ``scan``;
+    ``density`` is the state's metric density."""
     ratio = density / pack.omega_cone_eps.values
-    if scan is not None:
-        phi, dot, ratio = phi[scan], dot[scan], ratio[scan]
+    phi, dot, ratio = (state.phi.values[scan], state.phi_dot.values[scan],
+                       ratio[scan])
     sup_phi, inf_phi = float(phi.max()), float(phi.min())
     row = (state.t, sup_phi, inf_phi, sup_phi - inf_phi, float(dot.max()),
            float(dot.min()), float(ratio.min()), float(ratio.max()))
@@ -442,97 +443,75 @@ def _series_append(series, state, density, pack, scan):
         series[name].append(value)
 
 
-def _steps(pack, j, phi_j, control, checkpoints, run_id, scan_exclude, held):
-    """The stepping loop of one run: yields after each accepted step and
-    returns its Trajectory.  ``held`` is the ``_Held`` factor handed to
-    every implicit attempt (see ``_chord``); the explicit scheme ignores it."""
-    params = pack.params
-    cps = [float(c) for c in checkpoints]
-    if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ConfigurationError("checkpoints must be strictly increasing")
-    if cps[0] <= 0.0 or cps[-1] > params.T + 1e-12:
-        raise ConfigurationError(
-            f"checkpoints must lie in (0, T={params.T:g}]")
-    values = phi_j.values if isinstance(phi_j, ScalarField) else np.asarray(phi_j)
-    if run_id is None:
-        run_id = f"eps{params.epsilon:g}_j{j:g}"
+def _steps(pack, run_id, j, phi_j, control, checkpoints, scan_exclude, held):
+    """The stepping loop of one run from phi(0) = phi_j - k*chi: yields
+    after each accepted step and returns its Trajectory.  ``run_family``
+    hands it checked inputs: phi_j as an array, the checkpoints as floats
+    and a bool scan mask.
 
-    initial_state, density0 = _finalize(
-        pack, 0.0, values - params.k * pack.chi.values, 0, 0)
+    Every step goes through one attempt function, chosen once by the
+    scheme: ``attempt(pack, state, control, dt, held)`` returns (phi_new,
+    dt_next) or a ``Rejection``, and may raise PositivityError.  ``held`` is
+    the family's ``_Held`` factor (see ``_chord``); the explicit scheme
+    ignores it.  dt_next is the explicit scheme's controlled step; the
+    implicit scheme returns None, and the next step follows the
+    deterministic ramp instead: resolve the log transient near t=0, then
+    coast at dt_max.  An attempt that is rejected, or whose new state
+    ``_finalize`` rejects, halves dt; below dt_min the run stops, reporting
+    positivity loss when that was the last cause and the step floor
+    otherwise.
+    """
+    attempt = (_attempt_rk2 if control.scheme is Scheme.EXPLICIT_RK2
+               else _attempt_newton)
+    # each member forms its phi(0) as it starts: forming them all up front
+    # shifts where the SuperLU factors land on the heap, and the peak RSS
+    initial_state, density = _finalize(
+        pack, 0.0, phi_j - pack.params.k * pack.chi.values, 0, 0)
     state = initial_state
-
-    scan = None if scan_exclude is None else ~scan_exclude
+    scan = ~scan_exclude
     series = {name: [] for name in SERIES_COLUMNS}
-    _series_append(series, state, density0, pack, scan)
-
+    _series_append(series, state, density, pack, scan)
     snapshots = []
-    termination = Termination.REACHED_T
-    dt_ctrl = control.dt_init
-    rejected_total = 0
 
-    for target in cps:
+    def trajectory(termination):
+        return Trajectory(
+            run_id=run_id, pack=pack, j=j, initial_state=initial_state,
+            snapshots=snapshots, termination=termination, control=control,
+            series={k: np.array(v) for k, v in series.items()},
+            scan_exclude=scan_exclude)
+
+    dt_next = None
+    rejected = 0
+    for target in checkpoints:
         while state.t < target - 1e-13:
-            if control.scheme is Scheme.SEMI_IMPLICIT_NEWTON:
-                # deterministic ramp: resolve the log transient near t=0,
-                # then coast at dt_max
-                dt_want = min(max(state.t / 6.0, control.dt_init), control.dt_max)
-            else:
-                dt_want = dt_ctrl
-            dt = min(dt_want, target - state.t)
-            accepted = None
-            last_err = None
+            ramp = min(max(state.t / 6.0, control.dt_init), control.dt_max)
+            dt = min(ramp if dt_next is None else dt_next, target - state.t)
             while True:
                 try:
-                    if control.scheme is Scheme.EXPLICIT_RK2:
-                        out = _attempt_rk2(pack, state, control, dt)
-                        if not isinstance(out, Rejection):
-                            out, last_err = out
-                    else:
-                        out = _attempt_newton(pack, state, control, dt, held)
+                    out = attempt(pack, state, control, dt, held)
                     if not isinstance(out, Rejection):
+                        phi_new, dt_next = out
                         t_new = state.t + dt
                         if at_checkpoint(t_new, target):
                             t_new = target
-                        accepted, density = _finalize(
-                            pack, t_new, out, state.step_count + 1,
-                            rejected_total)
+                        state, density = _finalize(
+                            pack, t_new, phi_new, state.step_count + 1,
+                            rejected)
                         break
                     cause = out
                 except PositivityError:
                     cause = Rejection.POSITIVITY
                 dt *= 0.5
-                rejected_total += 1
+                rejected += 1
                 if dt < control.dt_min:
-                    break
-            if accepted is None:
-                termination = (Termination.POSITIVITY_LOSS
-                               if cause is Rejection.POSITIVITY
-                               else Termination.STEP_FLOOR)
-                break
-            if control.scheme is Scheme.EXPLICIT_RK2 and last_err is not None:
-                # PI-style growth keyed to the embedded error just accepted
-                ratio = control.error_tol / max(last_err, 1e-300)
-                factor = control.safety * min(ratio**0.35, 3.0)
-                dt_ctrl = float(np.clip(dt * max(factor, 0.3),
-                                        control.dt_init, control.dt_max))
-            state = accepted
+                    return trajectory(
+                        Termination.POSITIVITY_LOSS
+                        if cause is Rejection.POSITIVITY
+                        else Termination.STEP_FLOOR)
             _series_append(series, state, density, pack, scan)
             yield
-        if termination is not Termination.REACHED_T:
-            break
         snapshots.append(state)
-
-    return Trajectory(
-        run_id=run_id,
-        pack=pack,
-        j=float(j),
-        initial_state=initial_state,
-        snapshots=snapshots,
-        series={k: np.array(v) for k, v in series.items()},
-        termination=termination,
-        scan_exclude=scan_exclude,
-        control=control,
-    )
+    return trajectory(Termination.REACHED_T)
 
 
 def run_flow(pack: BackgroundPack, j: float, phi_j: ScalarField | np.ndarray,
@@ -562,7 +541,14 @@ def run_family(pack: BackgroundPack, members, control: StepControl,
                checkpoints, scan_exclude: np.ndarray | None = None) -> list:
     """Integrate the runs of one eps in turn on one held LU factor.
 
-    ``members`` lists (run_id, j, phi_j), usually one per truncation level.
+    ``members`` lists (run_id, j, phi_j), usually one per truncation level:
+    the run id (None names it eps<eps>_j<j>), the level and phi_j, a
+    ScalarField or an array; the run starts at phi(0) = phi_j - k*chi.
+    ``scan_exclude`` marks the nodes that the series and the certificates
+    skip, None for none.  A checkpoint list that is not strictly
+    increasing inside (0, T] raises ConfigurationError before any member
+    steps.
+
     Each live member takes one accepted step per round, in list order, and
     every implicit attempt shares the family's factor (see ``_chord``).  A
     member whose step starts at the (t, dt) of the previous member's
@@ -577,11 +563,25 @@ def run_family(pack: BackgroundPack, members, control: StepControl,
     Returns, in member order, each member's Trajectory or the ConeflowError
     that ended it.
     """
+    params = pack.params
+    cps = [float(c) for c in checkpoints]
+    if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ConfigurationError("checkpoints must be strictly increasing")
+    if cps[0] <= 0.0 or cps[-1] > params.T + 1e-12:
+        raise ConfigurationError(
+            f"checkpoints must lie in (0, T={params.T:g}]")
+    exclude = (np.zeros(pack.surface.shape, dtype=bool)
+               if scan_exclude is None else scan_exclude)
     held = _Held()
     outcomes = [None] * len(members)
-    live = {i: _steps(pack, j, phi_j, control, checkpoints, run_id,
-                      scan_exclude, held)
-            for i, (run_id, j, phi_j) in enumerate(members)}
+    live = {}
+    for i, (run_id, j, phi_j) in enumerate(members):
+        if run_id is None:
+            run_id = f"eps{params.epsilon:g}_j{j:g}"
+        if isinstance(phi_j, ScalarField):
+            phi_j = phi_j.values
+        live[i] = _steps(pack, run_id, float(j), np.asarray(phi_j), control,
+                         cps, exclude, held)
     while live:
         for i, steps in list(live.items()):
             try:

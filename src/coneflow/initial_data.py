@@ -62,9 +62,10 @@ class InitialDatum:
     kind: DatumKind
     phi0: ScalarField
     params_used: dict
-    # nodes excluded from admissibility scans (log poles: the stencil smears
-    # the point mass over a few rings, so a chart-radius halo is skipped)
-    psh_exclusion: np.ndarray | None = None
+    # nodes that the extremum scans and certificates skip: the divisor nodes
+    # of a singular kind, and a log pole's halo (the stencil smears the
+    # point mass over a few rings, so a chart-radius halo is skipped)
+    scan_exclude: np.ndarray
 
 
 def softmax_pair(a: np.ndarray, b: float, sigma: float) -> np.ndarray:
@@ -184,22 +185,21 @@ def make_initial(surface: ModelSurface, divisor: DivisorData | None,
 
     x = None if divisor is None else divisor.s_h_sq
     mask = divisor.node_mask() if kind.singular else None
-    exclusion = None
+    exclude = np.zeros(surface.shape, dtype=bool) if mask is None else mask
     if kind is DatumKind.LOG_POLE:
         # the stencil defect of a log pole at ring q is ~ c/(2 h^2 q^4), so
         # the smeared point mass stays visible out to ~sqrt(N) rings; skip a
         # halo of chart radius 1.5/sqrt(N), which still vanishes under
         # refinement
-        exclusion = np.zeros(surface.shape, dtype=bool)
         halo = 1.5 / np.sqrt(surface.resolution)
         for coords in divisor.point_coords:
-            exclusion |= _chart_radius_grid(surface, coords) < halo
+            exclude = exclude | (_chart_radius_grid(surface, coords) < halo)
 
     shrinks = kind is DatumKind.ZERO_LELONG_UNBOUNDED
     for _ in range(20 if shrinks else 1):
         with np.errstate(divide="ignore"):
             values = declaration.formula(surface, x, p)
-        _, relative = psh_margins(surface, values, mask, exclusion)
+        _, relative = psh_margins(surface, values, mask, exclude)
         if relative >= -1e-6:
             break
         if shrinks:
@@ -217,7 +217,7 @@ def make_initial(surface: ModelSurface, divisor: DivisorData | None,
         kind=kind,
         phi0=phi0,
         params_used=p,
-        psh_exclusion=exclusion,
+        scan_exclude=exclude,
     )
 
 

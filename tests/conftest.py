@@ -65,7 +65,7 @@ def sphere_lab(control):
              for e in EPS_FAMILY}
     datum = make_initial(surface, divisor, DatumKind.ZERO_LELONG_UNBOUNDED,
                          {"alpha": 0.5, "c": 0.05})
-    sing = datum.phi0.singular_mask
+    sing = datum.scan_exclude
 
     runs = {}
     for e in SWEEP_EPS:
@@ -81,7 +81,7 @@ def sphere_lab(control):
     log_pole = make_initial(surface, divisor, DatumKind.LOG_POLE, {"c": 0.2})
     lp_runs = [run_flow(packs[e], 8.0, flow_level_values(log_pole, e, 8.0),
                         control, CHECKPOINTS, run_id=f"lp_e{e:g}",
-                        scan_exclude=log_pole.psh_exclusion)
+                        scan_exclude=log_pole.scan_exclude)
                for e in SWEEP_EPS]
 
     return {
@@ -120,7 +120,7 @@ def l1_lab(control):
     }
     runs = {name: run_flow(pack, 0.0, flow_level_values(dat, 0.2, None),
                            control, CHECKPOINTS_SHORT, run_id=f"l1_{name}",
-                           scan_exclude=dat.phi0.singular_mask)
+                           scan_exclude=dat.scan_exclude)
             for name, dat in data.items()}
     return {"pack": pack, "data": data, "runs": runs}
 
@@ -138,5 +138,5 @@ def doubled_lab(control):
                          {"alpha": 0.5, "c": 0.05})
     run = run_flow(pack, 8.0, flow_level_values(datum, 0.1, 8.0), control,
                    CHECKPOINTS, run_id="zl_N128",
-                   scan_exclude=datum.phi0.singular_mask)
+                   scan_exclude=datum.scan_exclude)
     return {"pack": pack, "datum": datum, "run": run}

@@ -116,7 +116,11 @@ class TestRunRoundtrip:
         assert loaded.j == original.j
         assert loaded.termination is original.termination
         assert loaded.control == original.control
-        assert loaded.scan_exclude is None
+        # a mask that excludes nothing is not stored and loads all-False
+        assert not original.scan_exclude.any()
+        assert loaded.scan_exclude.dtype == bool
+        assert loaded.scan_exclude.shape == original.scan_exclude.shape
+        assert not loaded.scan_exclude.any()
         assert np.array_equal(loaded.initial_state.phi.values,
                               original.initial_state.phi.values)
         for got, want in zip(loaded.snapshots, original.snapshots):
@@ -133,7 +137,6 @@ class TestRunRoundtrip:
         loaded = load_run(tmp_path / f"run_{original.run_id}.ckrf",
                           sphere_lab["packs"])
         assert loaded.pack is original.pack
-        assert loaded.scan_exclude is not None
         assert loaded.scan_exclude.dtype == bool
         assert np.array_equal(loaded.scan_exclude, original.scan_exclude)
 
@@ -273,11 +276,9 @@ def reference_snapshot_csv(traj, t):
     """Node table with every node's coordinates formatted on each call."""
     state = traj.state_at(t)
     a0, a1 = traj.pack.surface.meshgrid()
-    excl = (traj.scan_exclude if traj.scan_exclude is not None
-            else np.zeros(traj.pack.surface.shape, dtype=bool))
     cells = [map(repr, col.ravel().tolist())
              for col in (a0, a1, state.phi.values, state.phi_dot.values)]
-    flags = ("1" if e else "0" for e in excl.ravel().tolist())
+    flags = ("1" if e else "0" for e in traj.scan_exclude.ravel().tolist())
     rows = map(",".join, zip(*cells, flags))
     return "\n".join(["axis0,axis1,phi,phi_dot,excluded", *rows]) + "\n"
 

@@ -14,6 +14,7 @@ from coneflow.background import (
     FlowParams,
     build_pack,
     calabi_volume_form,
+    class_slope,
     cgp_chi,
     cgp_metric,
     compute_tmax,
@@ -361,10 +362,11 @@ def test_pack_conical(sphere, divisor):
     k = select_k(sphere, divisor, 0.5, [0.1], equivalence_C=path_constant(2.0, -1.5, 1.0))
     pack = build_pack(sphere, divisor, FlowParams(gamma=0.5, epsilon=0.1, k=k, T=1.0))
     assert pack.tmax == pytest.approx(4.0 / 3.0)
-    assert pack.slope == -1.5
+    slope = class_slope(sphere.kind.c1_degree, divisor.degree, 0.5, 0.0)
+    assert slope == -1.5
     assert np.isfinite(pack.F_eps.values).all()
     # cohomology: integral of nu is the slope
-    assert abs(integrate(sphere, pack.nu_gamma.values) - pack.slope) < 1e-8
+    assert abs(integrate(sphere, pack.nu_gamma.values) - slope) < 1e-8
     # both paths stay positive across the horizon
     for t in np.linspace(0.0, 1.0, 33):
         assert pack.omega_path_eps(t).min() > 0.0

@@ -14,7 +14,8 @@ import pytest
 import coneflow
 import coneflow.cli
 import coneflow.config
-from coneflow.archive import load_archive, read_frames, write_frames
+from coneflow.archive import (check_integrity, load_archive, read_frames,
+                              write_frames)
 from coneflow.cli import execute_runs, main
 from coneflow.config import build_lab, parse_config
 from coneflow.flow import Termination
@@ -198,6 +199,23 @@ class TestRun:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("upper_barrier;", "upper_barrier(t0=0.03);",
+         "line 18: upper_barrier t0=0.03 is not a checkpoint"),
+        ("monotone_eps(t=0.05)", "monotone_eps(t=0.075)",
+         "line 18: monotone_eps t=0.075 is not a checkpoint"),
+    ])
+    def test_estimate_time_off_the_checkpoints_is_config_error(
+            self, tmp_path, capsys, old, new, message):
+        # before, the family was integrated and archived (exit 0), and
+        # only verify exited 2
+        cfg = tmp_path / "torus.cfg"
+        cfg.write_text(TORUS_CFG.replace(old, new))
+        out = tmp_path / "arc"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_job_runs_inline(self, monkeypatch):
         """One job integrates its families on the calling thread, no pool.
 
@@ -260,6 +278,39 @@ class TestRun:
             assert b.termination is a.termination is Termination.REACHED_T
             for sa, sb in zip(a.snapshots, b.snapshots, strict=True):
                 assert sb.phi.values.tobytes() == sa.phi.values.tobytes()
+
+    def test_level_whose_data_cannot_be_built_fails_alone(
+            self, tmp_path, capsys, monkeypatch):
+        # a level whose initial data raises never joins its family: the run
+        # exits 3 naming it, the manifest marks it failed, and every other
+        # level is archived
+        real = coneflow.cli.flow_level_values
+
+        def failing(datum, eps, j, sigma):
+            if (eps, j) == (0.2, 4.0):
+                raise coneflow.PositivityError("level data not admissible")
+            return real(datum, eps, j, sigma)
+
+        monkeypatch.setattr(coneflow.cli, "flow_level_values", failing)
+        cfg = tmp_path / "levels.cfg"
+        cfg.write_text(LEVELS_CFG)
+        out = tmp_path / "arc"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert ("run e0.2_j4 failed: PositivityError: level data not "
+                "admissible") in err
+        runs = json.loads((out / "manifest.json").read_text())["runs"]
+        assert runs["e0.2_j4"] == {
+            "status": "failed", "file": None,
+            "error": "PositivityError: level data not admissible"}
+        ok = sorted(run_id for run_id, info in runs.items()
+                    if info["status"] == "ok")
+        assert ok == ["e0.2_j2", "e0.2_j8", "e0.3_j2", "e0.3_j4", "e0.3_j8"]
+        assert sorted(p.name for p in out.glob("run_*.ckrf")) == [
+            f"run_{run_id}.ckrf" for run_id in ok]
+        # every written file is hashed and intact; only the run is missing
+        assert check_integrity(out) == [
+            "run e0.2_j4 failed: PositivityError: level data not admissible"]
 
     def test_coarse_sphere_with_divisor_reaches_T(self, tmp_path):
         # N=32 is above MIN_RESOLUTION and eps=0.2 above its floor, so a

@@ -47,7 +47,7 @@ kind = zero_lelong(alpha=0.5, c=0.05)
 j = 2, 4, 8
 
 [verify]
-estimates = upper_barrier(t0=0.1); hstat; comparison
+estimates = upper_barrier(t0=0.125); hstat; comparison
 
 [output]
 dir = out/sweep
@@ -99,7 +99,7 @@ class TestDefaults:
         cfg = parse_config(SPHERE)
         assert cfg.divisor_points == [(1.5707963267948966, 0.0)]
         assert cfg.j_list == [2.0, 4.0, 8.0]
-        assert cfg.verify == [("upper_barrier", {"t0": 0.1}), ("hstat", {}),
+        assert cfg.verify == [("upper_barrier", {"t0": 0.125}), ("hstat", {}),
                               ("comparison", {})]
         assert cfg.out_dir == "out/sweep"
 
@@ -201,7 +201,7 @@ class TestValidation:
     def test_estimate_parameter_that_no_check_reads(self):
         # upper_barrier reads t0: with t=0.05 it would certify the barrier
         # from the first checkpoint and say nothing
-        expect_error(SPHERE.replace("upper_barrier(t0=0.1)",
+        expect_error(SPHERE.replace("upper_barrier(t0=0.125)",
                                     "upper_barrier(t=0.05)"),
                      "line 19", "upper_barrier reads no parameter t")
         expect_error(SPHERE.replace("comparison", "comparison(t0=0.1)"),
@@ -215,6 +215,34 @@ class TestValidation:
         expect_error(SPHERE.replace("comparison",
                                     "comparison; phidot_lower(t0=0.1)"),
                      "line 19", "phidot_lower needs parameter tprime ")
+
+    @pytest.mark.parametrize("selection,message", [
+        ("upper_barrier(t0=0.1)", "upper_barrier t0=0.1 is not"),
+        ("lower_barrier(t0=0.15)", "lower_barrier t0=0.15 is not"),
+        ("hstat(t0=0.2)", "hstat t0=0.2 is not"),
+        ("density_ratio(t0=0.3)", "density_ratio t0=0.3 is not"),
+        ("phidot_lower(t0=0.1, tprime=0.5)", "phidot_lower t0=0.1 is not"),
+        ("monotone_eps(t=0.2)", "monotone_eps t=0.2 is not"),
+    ])
+    def test_estimate_time_that_is_not_a_checkpoint(self, selection,
+                                                    message):
+        # the checks read their runs at checkpoints (default 1/32 ... 1):
+        # before, the whole family ran and was archived, and only verify
+        # exited 2
+        expect_error(SPHERE.replace("upper_barrier(t0=0.125)", selection),
+                     "line 19", message,
+                     "(times: 0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0)")
+
+    def test_estimate_times_at_checkpoints_parse(self):
+        # matched as Trajectory.checkpoint_index matches, up to rounding;
+        # phidot_lower's window may also open at t0 = 0
+        for selection in ("upper_barrier(t0=0.12500000000001)",
+                          "lower_barrier(t0=1.0)", "hstat(t0=0.03125)",
+                          "density_ratio(t0=0.5)", "monotone_eps(t=0.25)",
+                          "phidot_lower(t0=0, tprime=0.5)",
+                          "phidot_lower(t0=0.0625, tprime=0.3)"):
+            parse_config(SPHERE.replace("upper_barrier(t0=0.125)",
+                                        selection))
 
     def test_datum_parameter_the_kind_does_not_take(self):
         expect_build_error(SPHERE.replace("alpha=0.5", "alpha=0.5, gamma=0.5"),
@@ -238,7 +266,7 @@ class TestValidation:
                      "line 7", "exactly two coordinates")
 
     def test_call_syntax_rejects_positional(self):
-        expect_error(SPHERE.replace("upper_barrier(t0=0.1)",
+        expect_error(SPHERE.replace("upper_barrier(t0=0.125)",
                                     "upper_barrier(0.1)"),
                      "key=value")
 

@@ -595,6 +595,25 @@ def test_signature_separates_pole_from_admissible(sphere_lab):
     assert all(g < 1.25 for g in sig_zl["growth_factors"])
 
 
+def test_signature_reads_a_non_positive_density_as_infinite(sphere_lab):
+    # the admissible family with its middle run's density driven non-positive
+    # at one node: that run's constant is inf, both growth factors are inf,
+    # and the family diverges without any run losing positivity
+    family = [sphere_lab["runs"][(e, 8.0)] for e in (0.2, 0.1, 0.05)]
+    family[1] = spiked_copy(family[1], 0.2, SPIKE_NODE, 1.0)
+    sig = est.divergence_signature(family)
+    assert not sig["positivity_loss"]
+    assert sig["ratio_constants"][1] == np.inf
+    assert sig["ratio_constants"][0::2] == pytest.approx(
+        [6.719670755, 7.915300243], rel=REL)
+    assert sig["growth_factors"] == [np.inf, np.inf]
+    assert sig["diverging"]
+    rep = est.ESTIMATES["signature"].check(family, {}, None)
+    assert rep.parameters["diverging"]
+    assert rep.parameters["ratio_constants"][1] == np.inf
+    assert rep.margin == -np.inf and not rep.passed
+
+
 def test_signature_validation(sphere_lab):
     with pytest.raises(ConfigurationError):
         est.divergence_signature(sphere_lab["lp_runs"][:1])

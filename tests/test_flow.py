@@ -263,6 +263,21 @@ def test_run_flow_validation(torus, torus_pack):
                  [0.1])
 
 
+def test_family_checks_checkpoints_before_any_member_steps(
+        torus, torus_pack, monkeypatch):
+    # a bad list is the family's error, raised rather than returned per
+    # member, and no member reaches its initial state
+    def no_state(*_args):
+        raise AssertionError("a member stepped")
+
+    monkeypatch.setattr(flow, "_finalize", no_state)
+    members = [("a", 0.0, np.zeros(torus.shape)),
+               ("b", 0.0, np.zeros(torus.shape))]
+    for cps in ([0.1, 0.05], [], [0.0, 0.1], [0.1, 5.0]):
+        with pytest.raises(ConfigurationError, match="checkpoints"):
+            run_family(torus_pack, members, StepControl(), cps)
+
+
 def test_step_floor_termination(torus, torus_pack):
     # near-degenerate initial density plus an unreachable error tolerance:
     # every explicit step is rejected down to the floor
@@ -300,12 +315,12 @@ def test_rk2_step_floor_after_recovered_positivity(torus, torus_pack,
     # label a later step-floor stop
     calls = []
 
-    def scripted(pack, state, control, dt):
+    def scripted(pack, state, control, dt, held):
         calls.append(dt)
         if len(calls) == 1:
             raise PositivityError("stage density non-positive")
         if len(calls) == 2:
-            return state.phi.values.copy(), 0.0
+            return state.phi.values.copy(), control.dt_max
         return Rejection.ERROR_TOL
 
     monkeypatch.setattr(flow, "_attempt_rk2", scripted)
@@ -313,6 +328,8 @@ def test_rk2_step_floor_after_recovered_positivity(torus, torus_pack,
                        dt_max=1e-3)
     traj = run_flow(torus_pack, 0.0, np.zeros(torus.shape), ctrl, [0.1])
     assert len(calls) > 3
+    # the step after the accepted one is the dt_next its attempt returned
+    assert calls[2] == ctrl.dt_max
     assert traj.termination is Termination.STEP_FLOOR
 
 
@@ -748,6 +765,12 @@ def test_scan_exclusion_masks_extrema(torus, torus_pack):
     traj = run_flow(torus_pack, 0.0, phi0, StepControl(), [0.01],
                     scan_exclude=mask)
     assert traj.series["sup_phi"][0] == 0.0
+    # without a mask the run scans every node: its mask is all-False
+    plain = run_flow(torus_pack, 0.0, phi0, StepControl(), [0.01])
+    assert plain.scan_exclude.dtype == bool
+    assert plain.scan_exclude.shape == torus.shape
+    assert not plain.scan_exclude.any()
+    assert plain.series["sup_phi"][0] == 1e-4
 
 
 def test_control_validation():

@@ -22,7 +22,7 @@ LN2 = float(np.log(2.0))
 def margins(datum):
     """(absolute, relative) psh margin of a datum, as make_initial scans it."""
     return psh_margins(datum.surface, datum.phi0.values,
-                       datum.phi0.singular_mask, datum.psh_exclusion)
+                       datum.phi0.singular_mask, datum.scan_exclude)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +71,10 @@ def test_smooth_sphere_longitudinal_mode(sphere, divisor):
 def test_donaldson_cone_profile(sphere, divisor):
     d = make_initial(sphere, divisor, DatumKind.DONALDSON_CONE,
                      {"c": 0.05, "gamma": 0.5})
+    # bounded data: the scans skip no node, the divisor's included
+    assert d.scan_exclude.dtype == bool
+    assert d.scan_exclude.shape == sphere.shape
+    assert not d.scan_exclude.any()
     pt = divisor.points[0]
     assert d.phi0.values[pt] == 0.0
     assert d.phi0.values.max() == pytest.approx(0.05, rel=1e-12)
@@ -85,6 +89,8 @@ def test_zero_lelong_diagnostics(zero_lelong, divisor):
     assert mask[pt]
     assert np.isneginf(zero_lelong.phi0.values[pt])
     assert np.isfinite(zero_lelong.phi0.values[~mask]).all()
+    # the scans skip exactly the singular node
+    assert np.array_equal(zero_lelong.scan_exclude, mask)
 
 
 def test_zero_lelong_amplitude_autoshrink(sphere, divisor):
@@ -96,8 +102,6 @@ def test_zero_lelong_amplitude_autoshrink(sphere, divisor):
 
 def test_log_pole_margin_outside_halo(log_pole):
     assert margins(log_pole)[1] >= -1e-6
-    assert log_pole.psh_exclusion is not None
-    assert log_pole.psh_exclusion.sum() > 0
     # the halo is chart radius tan(d/2) < 1.5/sqrt(N) around the pole, d
     # from the written-out haversine
     th, ph = log_pole.surface.meshgrid()
@@ -106,7 +110,10 @@ def test_log_pole_margin_outside_halo(log_pole):
            + np.sin(th) * np.sin(tp) * np.sin(0.5 * (ph - pp)) ** 2)
     chart = np.tan(0.5 * (2.0 * np.arcsin(np.sqrt(np.clip(hav, 0.0, 1.0)))))
     halo = chart < 1.5 / np.sqrt(log_pole.surface.resolution)
-    assert np.array_equal(log_pole.psh_exclusion, halo)
+    # the scans skip the halo and the divisor node, which lies inside it
+    node = log_pole.divisor.node_mask()
+    assert halo[node].all()
+    assert np.array_equal(log_pole.scan_exclude, halo | node)
 
 
 def test_needs_divisor():
