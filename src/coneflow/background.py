@@ -13,6 +13,10 @@ normalisation: quadratures are degrees.  Potentials always pass through the
 raw ``ddbar`` stencil; the factor ``2*pi`` appears exactly once, inside the
 Calabi solve, converting a degree-normalised curvature deficit into a raw
 potential equation.
+
+The flow these packs drive is d omega/dt = -Ric(omega) + (1-gamma)[D] + tau
+with Ric and [D] raw and tau = (2*pi*eta + (1 - 2*pi)*slope) * omega/V, a
+twist of (1 - 2*pi)*slope*omega/V at ``eta = 0`` (see ``flow.py``).
 """
 
 from __future__ import annotations

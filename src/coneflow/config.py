@@ -234,6 +234,15 @@ def _calls(text: str) -> list:
     return [_call(entry) for entry in text.split(";") if entry.strip()]
 
 
+def _require_distinct_names(lineno: int, what: str, values: list) -> None:
+    """Run ids and snapshot files name eps, j and t with ``:g``; two values
+    that print alike would overwrite each other's files."""
+    for a, b in zip(values, values[1:]):
+        if f"{a:g}" == f"{b:g}":
+            _fail(lineno, f"{what} values {a!r} and {b!r} share the name "
+                          f"'{a:g}' in run and file names")
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate one experiment description.
 
@@ -271,6 +280,7 @@ def parse_config(text: str) -> RunConfig:
         _fail(f.lineno("eps"), "eps list is empty")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         _fail(f.lineno("eps"), "eps list must be strictly decreasing")
+    _require_distinct_names(f.lineno("eps"), "eps", eps_list)
     if k_raw == "auto":
         k = None
     else:
@@ -293,6 +303,7 @@ def parse_config(text: str) -> RunConfig:
         _fail(i.lineno("j"), "truncation levels must be positive")
     if any(b <= a for a, b in zip(j_list, j_list[1:])):
         _fail(i.lineno("j"), "truncation levels must be strictly increasing")
+    _require_distinct_names(i.lineno("j"), "j", j_list)
     if sigma <= 0:
         _fail(i.lineno("sigma"), "sigma must be positive")
 
@@ -320,6 +331,7 @@ def parse_config(text: str) -> RunConfig:
         _fail(c.lineno("times"), "checkpoint list is empty")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         _fail(c.lineno("times"), "checkpoint times must be strictly increasing")
+    _require_distinct_names(c.lineno("times"), "checkpoint", checkpoints)
     if checkpoints[0] <= 0.0 or checkpoints[-1] > T:
         _fail(c.lineno("times"), f"checkpoint times must lie in (0, T={T}]")
 

@@ -5,9 +5,17 @@ background: its evolution is
 
     d phi / dt = log( density(path(t) + ddbar phi) / density(cone) ) + F
 
-with the cone background and the twist function F frozen in the pack.  Two
-steppers are provided: a two-stage explicit scheme with a PI step controller
-for cross-checks, and a backward-Euler scheme whose linearization
+with the cone background and the twist function F frozen in the pack.  In
+forms, with Ric and [D] raw (2*pi times the degree-normalised densities),
+it is d omega/dt = -Ric(omega) + (1 - gamma)[D] + tau, where
+tau = (2*pi*eta + (1 - 2*pi)*slope) * omega/V and ``class_slope`` gives
+slope = -c1 + (1 - gamma)m + eta: the path velocity slope*omega/V is in
+degree units.  So at ``eta = 0`` the flow carries the smooth closed twist
+(1 - 2*pi)*slope*omega/V, and eta* = (2*pi - 1)(-c1 + (1 - gamma)m) is the
+untwisted flow.
+
+Two steppers are provided: a two-stage explicit scheme with a PI step
+controller for cross-checks, and a backward-Euler scheme whose linearization
 ``I - dt * diag(1/density) * DD`` is an M-matrix, making each implicit step
 monotone.  That monotonicity is what the comparison certificates lean on.
 

@@ -40,8 +40,6 @@ from .surfaces import (
 #: sharpness of the soft clamp inside the zero-Lelong profile
 _CLAMP_TAU = 0.5
 
-_LN2 = float(np.log(2.0))
-
 
 class DatumKind(enum.Enum):
     SMOOTH = "smooth"

@@ -10,9 +10,16 @@ measure of the grid:
   normalised so the coordinate-cell quadrature of ``area_weight`` equals the
   requested total volume exactly.
 * ``ddbar_density_values(s, phi)`` is the density of ``i*ddbar(phi)``; in a
-  conformal chart it equals half the Euclidean Laplacian of ``phi``.  On the
-  sphere the operator is assembled in flux form so its coordinate quadrature
-  vanishes identically (exactness of ``ddbar``) and the matrix is symmetric.
+  conformal chart it equals half the Euclidean Laplacian of ``phi``.  Its
+  5-point stencil is one table per surface, built once by ``build_surface``:
+  ``dd_up[i]`` and ``dd_dn[i]`` couple row ``i`` to rows ``i+1`` and ``i-1``
+  (zero across the sphere's poles) and ``dd_lon[i]`` couples it to each
+  axis-1 neighbour.  The roll stencil, ``ddbar_matrix`` and
+  ``ddbar_solve_values`` all read that table.  On the sphere the stencil is
+  in flux form: ``dd_dn[i+1]`` and ``dd_up[i]`` are the same expression, so
+  the two terms of each edge are exact negatives of each other, the
+  coordinate quadrature vanishes identically (exactness of ``ddbar``) and
+  the matrix is symmetric.
 * ``laplacian`` is the metric Laplace-Beltrami operator, defined nodewise as
   ``2 * ddbar_density_values(s, phi) / area_weight`` so the two operators
   share one stencil.
@@ -76,6 +83,10 @@ class ModelSurface:
     ricci_background : ndarray
         Normalised Ricci density of the background metric (integral equals
         the anticanonical degree: 0 for the torus, 2 for the sphere).
+    dd_up, dd_dn, dd_lon : ndarray
+        The ddbar stencil, one coefficient per row of axis 0: the couplings
+        to the rows above and below (zero across the sphere's poles) and to
+        each axis-1 neighbour.
     """
 
     kind: SurfaceKind
@@ -86,9 +97,9 @@ class ModelSurface:
     cell_area: float
     area_weight: np.ndarray
     ricci_background: np.ndarray
-    # sphere-only stencil coefficients; None on the torus
-    _sin_edge: np.ndarray | None = None
-    _sin_cell: np.ndarray | None = None
+    dd_up: np.ndarray = field(repr=False)
+    dd_dn: np.ndarray = field(repr=False)
+    dd_lon: np.ndarray = field(repr=False)
     _dd_matrix: sp.csr_matrix | None = field(default=None, repr=False)
     _coordinate_cells: tuple[str, ...] | None = field(default=None, repr=False)
 
@@ -198,28 +209,17 @@ def build_surface(kind: SurfaceKind, resolution: int, volume: float) -> ModelSur
     n = int(resolution)
 
     if kind is SurfaceKind.TORUS:
-        x = np.arange(n) / n
-        y = np.arange(n) / n
+        axis0 = axis1 = np.arange(n) / n
         cell = 1.0 / (n * n)
         w = np.full((n, n), float(volume))
         ric = np.zeros((n, n))
-        return ModelSurface(
-            kind=kind,
-            resolution=n,
-            total_volume=float(volume),
-            axis0=x,
-            axis1=y,
-            cell_area=cell,
-            area_weight=w,
-            ricci_background=ric,
-        )
-
-    if kind is SurfaceKind.SPHERE_P1:
+        up = dn = lon = np.full(n, 0.5 / (1.0 / n) ** 2)
+    elif kind is SurfaceKind.SPHERE_P1:
         dtheta = np.pi / n
         dphi = 2.0 * np.pi / n
         edges = np.arange(n + 1) * dtheta
-        theta = (np.arange(n) + 0.5) * dtheta
-        phi = np.arange(n) * dphi
+        axis0 = (np.arange(n) + 0.5) * dtheta
+        axis1 = np.arange(n) * dphi
         sin_edge = np.sin(edges)
         sin_edge[0] = 0.0
         sin_edge[-1] = 0.0  # exact zero flux through both poles
@@ -229,20 +229,24 @@ def build_surface(kind: SurfaceKind, resolution: int, volume: float) -> ModelSur
         cell = dtheta * dphi
         w = (volume / (4.0 * np.pi)) * np.repeat(sin_cell[:, None], n, axis=1)
         ric = (2.0 / volume) * w
-        return ModelSurface(
-            kind=kind,
-            resolution=n,
-            total_volume=float(volume),
-            axis0=theta,
-            axis1=phi,
-            cell_area=cell,
-            area_weight=w,
-            ricci_background=ric,
-            _sin_edge=sin_edge,
-            _sin_cell=sin_cell,
-        )
-
-    raise ConfigurationError(f"unknown surface kind {kind!r}")
+        up = 0.5 * sin_edge[1:] / (dtheta * dtheta)
+        dn = 0.5 * sin_edge[:-1] / (dtheta * dtheta)
+        lon = 0.5 / (sin_cell * dphi * dphi)
+    else:
+        raise ConfigurationError(f"unknown surface kind {kind!r}")
+    return ModelSurface(
+        kind=kind,
+        resolution=n,
+        total_volume=float(volume),
+        axis0=axis0,
+        axis1=axis1,
+        cell_area=cell,
+        area_weight=w,
+        ricci_background=ric,
+        dd_up=up,
+        dd_dn=dn,
+        dd_lon=lon,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,35 +256,17 @@ def build_surface(kind: SurfaceKind, resolution: int, volume: float) -> ModelSur
 def ddbar_density_values(surface: ModelSurface, values: np.ndarray) -> np.ndarray:
     """ddbar density of a raw value array (no finiteness checks).
 
-    Rolls, not ``ddbar_matrix() @ v``: they keep y-invariant data exactly
-    y-invariant, which criterion 12's explicit N=64 run needs to stay stable.
+    Rolls, not ``ddbar_matrix() @ v``: they keep data that is constant along
+    an axis exactly constant, which criterion 12's explicit N=64 run needs
+    to stay stable.  The wrapped colatitude rolls carry zero weight on the
+    sphere.
     """
     v = values
-    if surface.kind is SurfaceKind.TORUS:
-        h = 1.0 / surface.resolution
-        lap = (
-            np.roll(v, 1, axis=0)
-            + np.roll(v, -1, axis=0)
-            + np.roll(v, 1, axis=1)
-            + np.roll(v, -1, axis=1)
-            - 4.0 * v
-        ) / (h * h)
-        return 0.5 * lap
-
-    n = surface.resolution
-    dtheta = np.pi / n
-    dphi = 2.0 * np.pi / n
-    se = surface._sin_edge
-    sc = surface._sin_cell
-    # conservative colatitude part: zero flux through the poles
-    flux = se[1:n, None] * (v[1:, :] - v[:-1, :]) / dtheta
-    div = np.zeros_like(v)
-    div[:-1, :] += flux
-    div[1:, :] -= flux
-    div /= dtheta
-    lon = (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)) / (dphi * dphi)
-    lon /= sc[:, None]
-    return 0.5 * (div + lon)
+    up = surface.dd_up[:, None]
+    dn = surface.dd_dn[:, None]
+    lon = surface.dd_lon[:, None]
+    return (up * (np.roll(v, -1, axis=0) - v) + dn * (np.roll(v, 1, axis=0) - v)
+            + lon * (np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)))
 
 
 def laplacian(field: ScalarField) -> ScalarField:
@@ -322,39 +308,32 @@ def ddbar_solve_values(surface: ModelSurface, g: np.ndarray) -> np.ndarray:
     g = g - g.mean()
 
     if surface.kind is SurfaceKind.TORUS:
-        h = 1.0 / n
         k = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers
-        sym = (2.0 * np.cos(2.0 * np.pi * k / n) - 2.0) / (h * h)
-        lam = 0.5 * (sym[:, None] + sym[None, :])
+        sym = 2.0 * np.cos(2.0 * np.pi * k / n) - 2.0
+        lam = surface.dd_up[0] * sym[:, None] + surface.dd_lon[0] * sym[None, :]
         gh = np.fft.fft2(g)
         lam[0, 0] = 1.0
         uh = gh / lam
         uh[0, 0] = 0.0
         u = np.real(np.fft.ifft2(uh))
     else:
-        dtheta = np.pi / n
-        dphi = 2.0 * np.pi / n
-        se = surface._sin_edge
-        sc = surface._sin_cell
+        up, dn = surface.dd_up, surface.dd_dn
         gh = np.fft.rfft(g, axis=1)
         uh = np.zeros_like(gh)
-        # m = 0: double cumulative sum along the flux form
+        # m = 0: the flux up[i] * (u[i+1] - u[i]) through each interior edge
+        # is the cumulative sum of the data above it
         g0 = gh[:, 0].real.copy()
         g0 -= g0.mean()
-        flux = 2.0 * dtheta * dtheta * np.cumsum(g0)[:-1]  # dtheta * F at interior edges
         u0 = np.zeros(n)
-        u0[1:] = np.cumsum(flux / se[1:n])
+        u0[1:] = np.cumsum(np.cumsum(g0)[:-1] / up[:-1])
         uh[:, 0] = u0
         # m > 0: symmetric tridiagonal solve per azimuthal mode
-        sub = 0.5 * se[:n] / (dtheta * dtheta)      # coupling to row i-1
-        sup = 0.5 * se[1:n + 1] / (dtheta * dtheta)  # coupling to row i+1
-        mm = np.arange(1, gh.shape[1])
-        mu = (2.0 * np.cos(mm * dphi) - 2.0) / (dphi * dphi)
+        dphi = 2.0 * np.pi / n
         ab = np.zeros((3, n), dtype=complex)
-        ab[0, 1:] = sup[:-1]
-        ab[2, :-1] = sub[1:]
-        for k, m in enumerate(mm):
-            ab[1] = -(sub + sup) + 0.5 * mu[k] / sc
+        ab[0, 1:] = up[:-1]
+        ab[2, :-1] = dn[1:]
+        for m in range(1, gh.shape[1]):
+            ab[1] = -(up + dn) + surface.dd_lon * (2.0 * np.cos(m * dphi) - 2.0)
             uh[:, m] = solve_banded((1, 1), ab, gh[:, m])
         u = np.fft.irfft(uh, n=n, axis=1)
 
@@ -382,25 +361,18 @@ def poisson_solve(surface: ModelSurface, rhs: ScalarField) -> ScalarField:
 
 def _build_dd_matrix(surface: ModelSurface) -> sp.csr_matrix:
     """The stencil of ``ddbar_density_values`` as a Kronecker sum on C-order
-    node vectors: (second difference along axis 0) x I plus diag(row scale)
-    x (periodic ring along axis 1).  Every entry is one product of the
-    stencil's coefficients, so the matrix is exactly symmetric."""
+    node vectors: (periodic second difference along axis 0) x I plus
+    diag(dd_lon) x (periodic ring along axis 1).  Every entry is one product
+    of the stencil's coefficients, so the matrix is exactly symmetric; the
+    zero couplings across the sphere's poles drop out of the sum."""
     n = surface.resolution
-    eye = sp.identity(n, format="csr")
+    up, dn = surface.dd_up, surface.dd_dn
     ring = sp.diags([1.0, 1.0, -2.0, 1.0, 1.0], [1 - n, -1, 0, 1, n - 1],
                     shape=(n, n), format="csr")
-    if surface.kind is SurfaceKind.TORUS:
-        c0 = 0.5 / (1.0 / n) ** 2
-        return (sp.kron(c0 * ring, eye) + sp.kron(eye, c0 * ring)).tocsr()
-    dtheta = np.pi / n
-    dphi = 2.0 * np.pi / n
-    se = surface._sin_edge
-    sc = surface._sin_cell
-    up = 0.5 * se[1:n + 1] / (dtheta * dtheta)   # coefficient of u[i+1] at row i
-    dn = 0.5 * se[:n] / (dtheta * dtheta)        # coefficient of u[i-1] at row i
-    lon = 0.5 / (sc * dphi * dphi)
-    colat = sp.diags([dn[1:], -(up + dn), up[:-1]], [-1, 0, 1], format="csr")
-    return (sp.kron(colat, eye) + sp.kron(sp.diags(lon), ring)).tocsr()
+    colat = sp.diags([up[-1:], dn[1:], -(up + dn), up[:-1], dn[:1]],
+                     [1 - n, -1, 0, 1, n - 1], format="csr")
+    return (sp.kron(colat, sp.identity(n, format="csr"))
+            + sp.kron(sp.diags(surface.dd_lon), ring)).tocsr()
 
 
 # ---------------------------------------------------------------------------

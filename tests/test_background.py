@@ -29,6 +29,7 @@ from coneflow.surfaces import (
     SurfaceKind,
     build_surface,
     divisor_section,
+    haversine,
     integrate,
 )
 
@@ -410,3 +411,43 @@ def test_pack_mixed_path_guard(sphere, divisor):
 def test_resolvability_floor(sphere, torus):
     assert resolvability_floor(sphere) == pytest.approx(2.0 * (np.pi / 64) ** 2)
     assert resolvability_floor(torus) == pytest.approx(2.0 / 32**2)
+
+
+def football_spread(n, eta):
+    """Spread of Q = log(omega_fb/omega) + h + (1-gamma) log|s|^2
+    - (slope/V) u_fb over the nodes off the divisor.
+
+    The football is S^2 with two antipodal cone points of angle 2 pi gamma,
+    a conical Kahler-Einstein metric (Troyanov 1989), here at V = 2 and
+    gamma = 1/2.  With c the cosine of the round distance to the first
+    point, omega_fb/omega = 4 gamma (1-c^2)^(gamma-1) / ((1+c)^gamma
+    + (1-c)^gamma)^2 and omega_fb = omega + ddbar u_fb with
+    u_fb = (V/2pi) ((1/gamma) log((1+c)^gamma + (1-c)^gamma) - log 2).
+    The flow moves it only by scaling exactly when Q is constant.
+    """
+    volume, gamma = 2.0, 0.5
+    s = build_surface(SurfaceKind.SPHERE_P1, n, volume)
+    # (theta_{N/2}, 0) and (theta_{N/2-1}, pi) are exactly antipodal nodes
+    d = divisor_section(s, [(s.axis0[n // 2], 0.0), (s.axis0[n // 2 - 1], np.pi)])
+    pack = build_pack(s, d, FlowParams(gamma=gamma, epsilon=0.2, k=1e-3, T=0.1,
+                                       eta_degree=eta))
+    slope = class_slope(s.kind.c1_degree, d.degree, gamma, eta)
+    c = 1.0 - 2.0 * haversine(s, d.point_coords[0])
+    off = d.s_h_sq > 0.0
+    c, x, h = c[off], d.s_h_sq[off], pack.h_gamma.values[off]
+    sigma = (1.0 + c) ** gamma + (1.0 - c) ** gamma
+    ratio = 4.0 * gamma * (1.0 - c * c) ** (gamma - 1.0) / sigma**2
+    u_fb = volume / (2.0 * np.pi) * (np.log(sigma) / gamma - np.log(2.0))
+    q = np.log(ratio) + h + (1.0 - gamma) * np.log(x) - slope / volume * u_fb
+    return float(np.ptp(q))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_football_is_stationary_only_at_the_untwisting_eta(n):
+    # the flow carries the twist tau = (2 pi eta + (1 - 2 pi) slope) omega/V
+    # (see flow.py); it vanishes at eta* = -2 gamma (2 pi - 1), where the
+    # football only scales.  At eta = 0 the twist (1 - 2 pi) slope omega/V
+    # moves it: that is the negative control
+    eta_star = -2.0 * 0.5 * (2.0 * np.pi - 1.0)
+    assert football_spread(n, eta_star) <= 1e-12
+    assert football_spread(n, 0.0) >= 0.2

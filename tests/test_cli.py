@@ -216,6 +216,24 @@ class TestRun:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("eps = 0.2, 0.1, 0.05", "eps = 0.2000001, 0.2",
+         "line 8: eps values 0.2000001 and 0.2 share the name '0.2'"),
+        ("times = 0.0125, 0.025,", "times = 0.0125, 0.025, 0.02500001,",
+         "line 15: checkpoint values 0.025 and 0.02500001 share the name"),
+    ])
+    def test_values_sharing_a_file_name_are_config_error(
+            self, tmp_path, capsys, old, new, message):
+        # before, the eps pair archived one run file for two runs and the
+        # time pair exported one snapshot for two checkpoints, both with
+        # exit 0
+        cfg = tmp_path / "torus.cfg"
+        cfg.write_text(TORUS_CFG.replace(old, new))
+        out = tmp_path / "arc"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_job_runs_inline(self, monkeypatch):
         """One job integrates its families on the calling thread, no pool.
 

@@ -177,6 +177,22 @@ class TestValidation:
         expect_error(SPHERE.replace("j = 2, 4, 8", "j = 2, 2, 8"),
                      "strictly increasing")
 
+    # run ids and snapshot files name eps, j and t with ":g"; values that
+    # agree to 6 significant digits used to overwrite each other's files
+    def test_eps_values_must_have_distinct_names(self):
+        expect_error(SPHERE.replace("eps = 0.2, 0.1", "eps = 0.2000001, 0.2"),
+                     "line 11", "eps values 0.2000001 and 0.2 share the name '0.2'")
+
+    def test_j_values_must_have_distinct_names(self):
+        expect_error(SPHERE.replace("j = 2, 4, 8", "j = 2, 4, 4.000001"),
+                     "line 16", "j values 4.0 and 4.000001 share the name '4'")
+
+    def test_checkpoint_times_must_have_distinct_names(self):
+        expect_error(MINIMAL_TORUS
+                     + "\n[checkpoints]\ntimes = 0.025, 0.02500001, 0.05\n",
+                     "line 12", "checkpoint values 0.025 and 0.02500001 share "
+                                "the name '0.025'")
+
     def test_checkpoints_must_fit_horizon(self):
         expect_error(MINIMAL_TORUS + "\n[checkpoints]\ntimes = 0.1, 0.3\n",
                      "(0, T=0.25]")

@@ -115,6 +115,34 @@ def test_sphere_eigenvalue_refines():
     assert errs[0] / errs[1] > 3.5, f"refinement ratio {errs[0] / errs[1]:.2f}"
 
 
+def test_stencil_keeps_axis_constant_data_constant(torus, sphere):
+    # the rolls compute every column alike, so data constant along an axis
+    # stays constant bit for bit; criterion 12's explicit run relies on it
+    rng = np.random.default_rng(29)
+    for s in (torus, sphere):
+        n = s.resolution
+        dd = ddbar_density_values(s, np.repeat(rng.normal(size=(n, 1)), n, axis=1))
+        assert np.array_equal(dd, np.repeat(dd[:, :1], n, axis=1)), s.kind
+    n = torus.resolution
+    dd = ddbar_density_values(torus, np.repeat(rng.normal(size=(1, n)), n, axis=0))
+    assert np.array_equal(dd, np.repeat(dd[:1, :], n, axis=0))
+
+
+def test_wrapped_pole_rolls_carry_zero_weight(sphere):
+    # the colatitude rolls wrap row N-1 onto row 0 and back; across the
+    # poles the stencil couples nothing, so neither end row sees the other
+    rng = np.random.default_rng(31)
+    f = rng.normal(size=sphere.shape)
+    g = f.copy()
+    g[-1] += rng.normal(size=sphere.resolution)
+    assert np.array_equal(ddbar_density_values(sphere, f)[0],
+                          ddbar_density_values(sphere, g)[0])
+    g = f.copy()
+    g[0] += rng.normal(size=sphere.resolution)
+    assert np.array_equal(ddbar_density_values(sphere, f)[-1],
+                          ddbar_density_values(sphere, g)[-1])
+
+
 def test_ddbar_matrix_matches_stencil(torus, sphere):
     rng = np.random.default_rng(19)
     for s in (torus, sphere):
@@ -142,10 +170,16 @@ def row_by_row_dd_matrix(s):
         for ax, shift in ((0, 1), (0, -1), (1, 1), (1, -1)):
             add(idx, np.roll(idx, shift, axis=ax), c0)
     else:
+        # the flux-form coefficients from the grid's own edges: sin at the
+        # cell edges (zero at both poles) and the cell-averaged sin
         dtheta, dphi = np.pi / n, 2.0 * np.pi / n
-        up = 0.5 * s._sin_edge[1:n + 1] / (dtheta * dtheta)
-        dn = 0.5 * s._sin_edge[:n] / (dtheta * dtheta)
-        lon = 0.5 / (s._sin_cell * dphi * dphi)
+        edges = np.arange(n + 1) * dtheta
+        sin_edge = np.sin(edges)
+        sin_edge[[0, n]] = 0.0
+        sin_cell = (np.cos(edges[:-1]) - np.cos(edges[1:])) / dtheta
+        up = 0.5 * sin_edge[1:] / (dtheta * dtheta)
+        dn = 0.5 * sin_edge[:-1] / (dtheta * dtheta)
+        lon = 0.5 / (sin_cell * dphi * dphi)
         for i in range(n):
             r = idx[i]
             add(r, r, -(up[i] + dn[i]) - 2.0 * lon[i])
